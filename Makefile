@@ -151,7 +151,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/forestfire
 	$(GO) run ./examples/battlefield
-	$(GO) run ./examples/building
 
 clean:
 	rm -f cover.out wmsnbench test_output.txt bench_output.txt cpu.prof mem.prof

@@ -208,7 +208,7 @@ func (a *Replayer) HandleMessage(p *packet.Packet) {
 		return
 	}
 	a.scheduled++
-	cp := p.Clone()
+	cp := *p
 	delay := a.Delay
 	if a.Jitter > 0 {
 		delay += sim.Duration(a.rand().Int63n(int64(a.Jitter)))
@@ -217,10 +217,10 @@ func (a *Replayer) HandleMessage(p *packet.Packet) {
 		if !a.dev.Alive() {
 			return
 		}
-		rep := cp.Clone()
+		rep := cp
 		rep.From = a.dev.ID() // link-layer sender is the attacker's radio
-		if a.dev.Send(rep) {
-			noteInject(a.dev, a.Metrics, &a.Counters, rep, "replay")
+		if a.dev.Send(&rep) {
+			noteInject(a.dev, a.Metrics, &a.Counters, &rep, "replay")
 		}
 	})
 	passInner(a.dev, a.Inner, p)
@@ -481,7 +481,7 @@ func (e *wormholeEnd) HandleMessage(p *packet.Packet) {
 		// Tunnel instantly (out-of-band link) and replay at the far end,
 		// preserving the packet contents verbatim: the path now implies
 		// that nodes around end A are one hop from nodes around end B.
-		cp := p.Clone()
+		cp := *p
 		cp.From = e.peer.dev.ID()
 		if p.Kind == packet.KindRRes {
 			// Deliver the tunneled response straight to its final target,
@@ -490,7 +490,7 @@ func (e *wormholeEnd) HandleMessage(p *packet.Packet) {
 		}
 		peer := e.peer
 		e.dev.World().Kernel().After(sim.Microsecond, func() {
-			if peer.dev != nil && peer.dev.Alive() && peer.dev.Send(cp) {
+			if peer.dev != nil && peer.dev.Alive() && peer.dev.Send(&cp) {
 				e.w.Counters.Injected++
 			}
 		})

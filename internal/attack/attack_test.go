@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"testing"
 
 	"wmsn/internal/core"
@@ -392,7 +393,7 @@ func TestSpecInstantiateBindsWithoutStart(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.spec.String(), func(t *testing.T) {
 			w := node.NewWorld(node.Config{Seed: 1})
-			inner := &core.MLRSensor{}
+			inner := core.NewMLRSensor(core.DefaultParams(), core.NewMetrics())
 			w.AddSensor(1, geom.Point{}, 35, 0, inner)
 			d := w.Device(1)
 			st := tc.spec.Instantiate(d, d.Stack(), NodeRand(1, 1), nil)
@@ -403,9 +404,24 @@ func TestSpecInstantiateBindsWithoutStart(t *testing.T) {
 			if d.Promiscuous() != tc.promisc {
 				t.Fatalf("promiscuous = %v, want %v", d.Promiscuous(), tc.promisc)
 			}
-			// The adversary must be live without Start: feeding it a frame
-			// must not panic on a nil device binding.
-			st.HandleMessage(&packet.Packet{Kind: packet.KindData, To: 1, Origin: 2, From: 2, Seq: 1, TTL: 4})
+			// The adversary must be live without Start: feeding it frames
+			// must not panic on a nil device binding. Like every stack, it
+			// must leave the frames it is handed unmodified, including
+			// through the replays and forgeries it sends later.
+			frames := []*packet.Packet{
+				{Kind: packet.KindData, To: 1, Origin: 2, From: 2, Target: 1000, Seq: 1, TTL: 4,
+					Payload: core.EncodePlacePayload(0, []byte("reading"))},
+				{Kind: packet.KindRReq, To: packet.Broadcast, Origin: 2, From: 2, Target: packet.Broadcast,
+					Seq: 2, TTL: 4, Path: []packet.NodeID{2}, Payload: []byte{1, 2, 3}},
+			}
+			for _, f := range frames {
+				before := f.Marshal()
+				st.HandleMessage(f)
+				w.Run(w.Kernel().Now() + sim.Minute)
+				if !bytes.Equal(before, f.Marshal()) {
+					t.Fatalf("%v frame modified by its handler", f.Kind)
+				}
+			}
 		})
 	}
 }

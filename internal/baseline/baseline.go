@@ -106,11 +106,11 @@ func (f *Flooding) HandleMessage(pkt *packet.Packet) {
 	if f.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = f.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	if f.dev.Send(fwd) {
+	if f.dev.Send(&fwd) {
 		f.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -161,10 +161,10 @@ func (g *Gossiping) relay(pkt *packet.Packet) {
 		return
 	}
 	next := nbrs[g.dev.World().Kernel().Rand().Intn(len(nbrs))]
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = g.dev.ID()
 	fwd.To = next
-	if g.dev.Send(fwd) {
+	if g.dev.Send(&fwd) {
 		g.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -180,10 +180,10 @@ func (g *Gossiping) HandleMessage(pkt *packet.Packet) {
 	if g.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.TTL--
 	fwd.Hops++
-	g.relay(fwd)
+	g.relay(&fwd)
 }
 
 // Direct transmits every reading straight to the sink in one long hop —
@@ -311,11 +311,11 @@ func (m *MCFA) HandleMessage(pkt *packet.Packet) {
 		}
 		if m.cost < 0 || c+1 < m.cost {
 			m.cost = c + 1
-			adv := pkt.Clone()
+			adv := *pkt
 			adv.From = m.dev.ID()
 			adv.Payload = mcfaCostPayload(m.cost)
 			adv.Hops++
-			if m.dev.Send(adv) {
+			if m.dev.Send(&adv) {
 				m.Metrics.Inc(metrics.RReqSent) // beacon traffic counted as control
 			}
 		}
@@ -330,12 +330,12 @@ func (m *MCFA) HandleMessage(pkt *packet.Packet) {
 		if m.seen.Check(pkt.Origin, pkt.Seq) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = m.dev.ID()
 		fwd.TTL--
 		fwd.Hops++
 		fwd.Payload = append(mcfaCostPayload(m.cost), pkt.Payload[4:]...)
-		if m.dev.Send(fwd) {
+		if m.dev.Send(&fwd) {
 			m.Metrics.Inc(metrics.DataSent)
 		}
 	}

@@ -173,11 +173,11 @@ func (d *Diffusion) handleInterest(pkt *packet.Packet) {
 	if pkt.TTL <= 1 || d.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = d.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	if d.dev.Send(fwd) {
+	if d.dev.Send(&fwd) {
 		d.Metrics.Inc(metrics.RReqSent)
 	}
 }
@@ -206,13 +206,13 @@ func (d *Diffusion) handleData(pkt *packet.Packet) {
 			if g == pkt.From {
 				continue
 			}
-			fwd := pkt.Clone()
+			fwd := *pkt
 			fwd.From = d.dev.ID()
 			fwd.To = g
 			fwd.Target = g
 			fwd.TTL--
 			fwd.Hops++
-			if d.dev.Send(fwd) {
+			if d.dev.Send(&fwd) {
 				d.Metrics.Inc(metrics.DataSent)
 				d.Exploratory++
 			}
@@ -221,13 +221,13 @@ func (d *Diffusion) handleData(pkt *packet.Packet) {
 		if st.reinforced == packet.None || pkt.TTL <= 1 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = d.dev.ID()
 		fwd.To = st.reinforced
 		fwd.Target = st.reinforced
 		fwd.TTL--
 		fwd.Hops++
-		if d.dev.Send(fwd) {
+		if d.dev.Send(&fwd) {
 			d.Metrics.Inc(metrics.DataSent)
 			d.Reinforced++
 		}
@@ -247,12 +247,12 @@ func (d *Diffusion) handleReinforce(pkt *packet.Packet) {
 	if st.upstream == packet.None || st.upstream == pkt.From {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = d.dev.ID()
 	fwd.To = st.upstream
 	fwd.Target = st.upstream
 	fwd.Hops++
-	if d.dev.Send(fwd) {
+	if d.dev.Send(&fwd) {
 		d.Metrics.Inc(metrics.AckSent)
 	}
 }

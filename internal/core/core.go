@@ -149,25 +149,34 @@ func (r Route) String() string {
 	return fmt.Sprintf("place=%d gw=%v hops=%d route=%s", r.Place, r.Gateway, r.Hops, packet.PathString(r.Path))
 }
 
+// shortcutPath builds the path of a Property 1 shortcut answer (SPR/MLR
+// step 3.1): the flood prefix, then this node, then its cached route
+// (which starts at this node) past its first hop, with loops erased. The
+// result is one fresh allocation.
+func shortcutPath(prefix []packet.NodeID, self packet.NodeID, route []packet.NodeID) []packet.NodeID {
+	full := make([]packet.NodeID, 0, len(prefix)+len(route))
+	full = append(full, prefix...)
+	full = append(full, self)
+	full = append(full, route[1:]...)
+	return compressPath(full)
+}
+
 // compressPath removes cycles from a route by loop erasure: scanning left
 // to right, revisiting a node splices out the detour between its two
 // occurrences. Combined paths (a flood prefix joined to a cached suffix,
 // SPR/MLR step 3.1) can revisit nodes; forwarding such a path would
 // ping-pong between the duplicates until the TTL expires. Every spliced
 // edge was traversed by the original walk, so the result is a valid,
-// shorter route.
+// shorter route. It works in place and returns the rewritten prefix of
+// path; the output is short and loop-free, so a linear scan finds the
+// earlier visit.
 func compressPath(path []packet.NodeID) []packet.NodeID {
-	seen := make(map[packet.NodeID]int, len(path))
-	out := make([]packet.NodeID, 0, len(path))
+	out := path[:0]
 	for _, id := range path {
-		if i, dup := seen[id]; dup {
-			for _, cut := range out[i+1:] {
-				delete(seen, cut)
-			}
+		if i := indexOf(out, id); i >= 0 {
 			out = out[:i+1]
 			continue
 		}
-		seen[id] = len(out)
 		out = append(out, id)
 	}
 	return out

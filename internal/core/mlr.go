@@ -415,7 +415,7 @@ func (s *MLRSensor) redirectData(pkt *packet.Packet, body []byte, decTTL bool) b
 	if to == r.Gateway {
 		to = gw
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = to
 	fwd.Target = gw
@@ -424,7 +424,7 @@ func (s *MLRSensor) redirectData(pkt *packet.Packet, body []byte, decTTL bool) b
 		fwd.TTL--
 		fwd.Hops++
 	}
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 		return true
 	}
@@ -695,9 +695,7 @@ func (s *MLRSensor) handleRReq(pkt *packet.Packet) {
 		if !ok || r.Gateway != gw {
 			continue
 		}
-		full := pkt.AppendHop(s.dev.ID())
-		full = append(full, r.Path[1:]...)
-		full = compressPath(full)
+		full := shortcutPath(pkt.Path, s.dev.ID(), r.Path)
 		res := &packet.Packet{
 			Kind:    packet.KindRRes,
 			From:    s.dev.ID(),
@@ -721,12 +719,12 @@ reflood:
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	s.sendFlood(fwd, metrics.RReqSent)
+	s.sendFlood(&fwd, metrics.RReqSent)
 }
 
 // sendFlood transmits a flood rebroadcast with optional de-synchronizing
@@ -765,11 +763,11 @@ func (s *MLRSensor) handleRRes(pkt *packet.Packet) {
 	if idx == 0 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = pkt.Path[idx-1]
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.RResSent)
 	}
 }
@@ -793,12 +791,12 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		if idx < 0 || idx+1 >= len(pkt.Path) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
 		fwd.Hops++
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.DataSent)
 		}
 		return
@@ -816,7 +814,7 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		}
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	if fwd.To == r.Gateway {
@@ -826,7 +824,7 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 	}
 	fwd.TTL--
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -873,11 +871,11 @@ func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	s.sendFlood(fwd, metrics.NotifySent)
+	s.sendFlood(&fwd, metrics.NotifySent)
 }
 
 func (s *MLRSensor) applyNotify(gw packet.NodeID, n mlrNotify) {

@@ -801,12 +801,12 @@ func (s *SecMLRSensor) handleRReq(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	s.sendFlood(fwd, metrics.RReqSent)
+	s.sendFlood(&fwd, metrics.RReqSent)
 }
 
 // sendFlood transmits a flood rebroadcast with optional de-synchronizing
@@ -845,11 +845,11 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 		if idx == 0 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx-1]
 		fwd.Hops++
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.RResSent)
 		}
 		return
@@ -897,12 +897,12 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 		if idx < 0 || idx+1 >= len(pkt.Path) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
 		fwd.Hops++
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.DataSent)
 		}
 		return
@@ -916,12 +916,12 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 		return
 	}
 	// Rewrite IS/IR (§6.2.4) and forward.
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.TTL--
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -956,12 +956,12 @@ func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
 		if idx+1 >= len(pkt.Path) || pkt.TTL <= 1 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
 		fwd.Hops++
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.AckSent)
 		}
 		return
@@ -999,11 +999,11 @@ func (s *SecMLRSensor) handleNotify(pkt *packet.Packet) {
 	}
 	s.processNotify(pkt)
 	if pkt.TTL > 1 {
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.TTL--
 		fwd.Hops++
-		s.sendFlood(fwd, metrics.NotifySent)
+		s.sendFlood(&fwd, metrics.NotifySent)
 	}
 }
 

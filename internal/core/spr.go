@@ -270,14 +270,14 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 		if s.best == nil {
 			return // rediscovery in flight; this reading is lost
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = s.best.NextHop()
 		fwd.Target = s.best.Gateway
 		fwd.TTL = s.Params.TTL
 		fwd.Path = append([]packet.NodeID(nil), s.best.Path...)
 		s.routeFresh = false
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.DataSent)
 		}
 		return
@@ -286,11 +286,11 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 	if !ok {
 		return // no surviving route for this flow; the frame is lost here
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.Path = append([]packet.NodeID(nil), r.Path...)
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -366,11 +366,11 @@ func (s *SPRSensor) handleNotify(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	s.sendFlood(fwd, metrics.NotifySent)
+	s.sendFlood(&fwd, metrics.NotifySent)
 }
 
 func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
@@ -381,9 +381,7 @@ func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
 		// Step 3.1: a node with an established route answers directly
 		// instead of re-flooding (Property 1 shortcut). The flood prefix
 		// and the cached suffix may share nodes; erase any loops.
-		full := pkt.AppendHop(s.dev.ID())
-		full = append(full, s.best.Path[1:]...)
-		full = compressPath(full)
+		full := shortcutPath(pkt.Path, s.dev.ID(), s.best.Path)
 		res := &packet.Packet{
 			Kind:   packet.KindRRes,
 			From:   s.dev.ID(),
@@ -402,12 +400,12 @@ func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
-	s.sendFlood(fwd, metrics.RReqSent)
+	s.sendFlood(&fwd, metrics.RReqSent)
 }
 
 // sendFlood transmits a flood rebroadcast, optionally jittered to
@@ -446,11 +444,11 @@ func (s *SPRSensor) handleRRes(pkt *packet.Packet) {
 	if idx <= 0 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = pkt.Path[idx-1]
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.RResSent)
 	}
 }
@@ -487,12 +485,12 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 			// of life until the advert deadline says otherwise.
 			s.lastHeard[pkt.Target] = s.dev.Now()
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
 		fwd.Hops++
-		if s.dev.Send(fwd) {
+		if s.dev.Send(&fwd) {
 			s.Metrics.Inc(metrics.DataSent)
 		}
 		return
@@ -507,12 +505,12 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 		traceExpired(s.dev, pkt, "no_entry")
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.TTL--
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -532,14 +530,14 @@ func (s *SPRSensor) redirectData(pkt *packet.Packet) bool {
 	if r == nil {
 		return false
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.Target = r.Gateway
 	fwd.Path = append([]packet.NodeID(nil), r.Path...)
 	fwd.TTL--
 	fwd.Hops++
-	if s.dev.Send(fwd) {
+	if s.dev.Send(&fwd) {
 		s.Metrics.Inc(metrics.DataSent)
 		return true
 	}

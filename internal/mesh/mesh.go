@@ -255,11 +255,11 @@ func (r *Router) handle(pkt *packet.Packet) {
 		r.lsdb[pkt.Origin] = lsa{seq: seq, neighbors: nbrs}
 		r.recompute()
 		if pkt.TTL > 1 {
-			fwd := pkt.Clone()
+			fwd := *pkt
 			fwd.From = r.dev.ID()
 			fwd.TTL--
 			fwd.Hops++
-			if r.dev.SendMesh(fwd) {
+			if r.dev.SendMesh(&fwd) {
 				r.stats.LSAsSent++
 			}
 		}
@@ -313,12 +313,12 @@ func (r *Router) forward(pkt *packet.Packet) bool {
 		r.stats.DataDropped++
 		return false
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.From = r.dev.ID()
 	fwd.To = nh
 	fwd.TTL--
 	fwd.Hops++
-	if r.dev.SendMesh(fwd) {
+	if r.dev.SendMesh(&fwd) {
 		r.stats.DataForwarded++
 		return true
 	}

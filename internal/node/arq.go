@@ -50,7 +50,9 @@ type ARQConfig struct {
 // LinkFailureHandler is implemented by stacks that want to reroute when the
 // link layer exhausts its retry budget on a frame. The handler receives the
 // retired frame exactly as it was submitted to Send (To still names the
-// unresponsive hop); it may clone and re-send it along another route.
+// unresponsive hop); it may copy the header and re-send it along another
+// route, but must not modify the frame, whose slices a forwarder shares
+// with a received one.
 type LinkFailureHandler interface {
 	HandleLinkFailure(pkt *packet.Packet)
 }

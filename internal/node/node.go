@@ -74,7 +74,10 @@ type Stack interface {
 	Start(dev *Device)
 	// HandleMessage is invoked for every successfully received (and
 	// energy-charged) sensor-layer packet addressed to this node or
-	// broadcast.
+	// broadcast. The packet is shared with every other listener of the
+	// same transmission and must not be modified; to forward it, copy the
+	// header (fwd := *pkt) and replace, never modify, the slices that
+	// change.
 	HandleMessage(pkt *packet.Packet)
 }
 
@@ -220,18 +223,8 @@ func (d *Device) Promiscuous() bool { return d.world.soa.promisc[d.h] }
 
 // SetPromiscuous marks the device as an eavesdropper: unicast packets
 // addressed to other nodes are handed to its stack instead of being
-// dropped after the energy charge. The flag is mirrored onto the radio
-// stations (and re-applied on Recover) so the medium clones overheard
-// frames privately for this device.
-func (d *Device) SetPromiscuous(on bool) {
-	d.world.soa.promisc[d.h] = on
-	if d.sensorSt != nil {
-		d.sensorSt.SetPromiscuous(on)
-	}
-	if d.meshSt != nil {
-		d.meshSt.SetPromiscuous(on)
-	}
-}
+// dropped after the energy charge.
+func (d *Device) SetPromiscuous(on bool) { d.world.soa.promisc[d.h] = on }
 
 // kern returns the kernel this device's per-device work runs on: the
 // world's (only) kernel in sequential mode, the device's region lane when
@@ -443,11 +436,6 @@ func (d *Device) Recover() bool {
 		d.meshSt = w.meshMedium.Attach(d.id, snap.pos, snap.meshRange, d.receiveMesh)
 	}
 	w.soa.pos[d.h] = snap.pos
-	if w.soa.promisc[d.h] {
-		// The fresh stations must re-learn the eavesdropper flag so the
-		// medium keeps cloning overheard frames privately for this device.
-		d.SetPromiscuous(true)
-	}
 	w.soa.alive[d.h] = true
 	if d.kind == Sensor {
 		w.sensorsAlive++

@@ -9,8 +9,8 @@ import (
 
 // TestKillRecoverRoundTrip pins the attachSnapshot contract: everything a
 // kill tears down — station attachments, position, ranges, the sensor
-// listening flag, the promiscuous bit — comes back exactly on Recover, and
-// the revived device both receives and transmits again.
+// listening flag — comes back exactly on Recover, the device stays an
+// eavesdropper, and the revived device both receives and transmits again.
 func TestKillRecoverRoundTrip(t *testing.T) {
 	w := NewWorld(Config{Seed: 1})
 	gwStack := &echoStack{}
@@ -61,8 +61,8 @@ func TestKillRecoverRoundTrip(t *testing.T) {
 	if st.Listening() {
 		t.Fatal("sensor listening flag not restored (was off at death)")
 	}
-	if !gw.Promiscuous() || !st.Promiscuous() {
-		t.Fatal("promiscuous bit not restored onto the fresh station")
+	if !gw.Promiscuous() {
+		t.Fatal("promiscuous bit lost across kill and recover")
 	}
 
 	// The revived gateway transmits on the mesh again...
@@ -79,6 +79,16 @@ func TestKillRecoverRoundTrip(t *testing.T) {
 	w.RunUntilIdle()
 	if len(gwStack.got) != before {
 		t.Fatal("non-listening recovered station still delivered a sensor frame")
+	}
+	// ...and, with its sensor ear back on, still eavesdrops: a unicast
+	// addressed to another node reaches its stack.
+	st.SetListening(true)
+	foreign := bcast(1)
+	foreign.To = 2
+	w.Device(1).Send(foreign)
+	w.RunUntilIdle()
+	if len(gwStack.got) != before+1 || gwStack.got[before].To != 2 {
+		t.Fatal("recovered promiscuous gateway did not hand a foreign unicast to its stack")
 	}
 }
 

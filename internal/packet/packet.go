@@ -114,8 +114,12 @@ type Packet struct {
 	Sec     *SecEnvelope // SecMLR protection; nil when unsecured
 }
 
-// Clone returns a deep copy. The radio medium clones packets per receiver so
-// protocol handlers may mutate them freely.
+// Clone returns a deep copy. The radio medium takes one Clone per
+// transmission as the frame goes on the air, so a sender may modify its
+// frame afterwards, and hands that snapshot to every listener: a received
+// frame is shared with every other listener and must not be modified. A
+// forwarder copies the header (q := *p) and replaces, never modifies, the
+// slices it changes.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Path = append([]NodeID(nil), p.Path...)

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 
 	"wmsn/internal/geom"
@@ -8,38 +9,44 @@ import (
 	"wmsn/internal/sim"
 )
 
-// Steady-state cost of one transmit+deliver cycle to a single receiver: the
-// only allocation left is the per-receiver packet clone (one struct; the
-// test packet has no path, payload or security envelope). Events come from
-// the kernel pool, deliveries from the medium pool, the receiver set from
-// the scratch buffer, and no closure or Timer is created.
+// Steady-state cost of one transmit+deliver cycle: the only allocation left
+// is the transmission's snapshot (one struct; the test packet has no path,
+// payload or security envelope), whatever the number of listeners. Events
+// come from the kernel pool, deliveries from the medium pool, the receiver
+// set from the scratch buffer, and no closure or Timer is created.
 func TestTransmitDeliverAllocsPinned(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := New(k, Config{BitRate: 250_000})
-	a := m.Attach(1, geom.Point{}, 50, nil)
-	got := 0
-	m.Attach(2, geom.Point{X: 10}, 50, func(*packet.Packet) { got++ })
-	pkt := testPkt(1)
-	// Warm every pool and backing array.
-	for i := 0; i < 64; i++ {
-		m.Transmit(a, pkt)
-	}
-	k.RunAll()
-	avg := testing.AllocsPerRun(200, func() {
-		m.Transmit(a, pkt)
-		k.RunAll()
-	})
-	if avg > 1 {
-		t.Fatalf("transmit+deliver allocates %.2f per cycle, want <=1 (the packet clone)", avg)
-	}
-	if got == 0 {
-		t.Fatal("nothing delivered")
+	for _, listeners := range []int{1, 8, 32} {
+		t.Run(fmt.Sprintf("listeners=%d", listeners), func(t *testing.T) {
+			k := sim.NewKernel(1)
+			m := New(k, Config{BitRate: 250_000})
+			a := m.Attach(1, geom.Point{}, 50, nil)
+			got := 0
+			for i := 0; i < listeners; i++ {
+				m.Attach(packet.NodeID(2+i), geom.Point{X: float64(1 + i)}, 50, func(*packet.Packet) { got++ })
+			}
+			pkt := testPkt(1)
+			// Warm every pool and backing array.
+			for i := 0; i < 64; i++ {
+				m.Transmit(a, pkt)
+			}
+			k.RunAll()
+			avg := testing.AllocsPerRun(200, func() {
+				m.Transmit(a, pkt)
+				k.RunAll()
+			})
+			if avg > 1 {
+				t.Fatalf("transmit+deliver allocates %.2f per cycle, want <=1 (the snapshot)", avg)
+			}
+			if got != listeners*(64+201) {
+				t.Fatalf("delivered %d frames, want %d", got, listeners*(64+201))
+			}
+		})
 	}
 }
 
 // The collision model's pending lists must not break delivery pooling: under
 // sustained overlapping traffic the steady-state allocation stays pinned to
-// the per-receiver clones.
+// one snapshot per transmission.
 func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
@@ -56,7 +63,7 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 		k.RunAll()
 	})
 	if avg > 2 {
-		t.Fatalf("collision-model cycle allocates %.2f, want <=2 (two clones)", avg)
+		t.Fatalf("collision-model cycle allocates %.2f, want <=2 (two snapshots)", avg)
 	}
 }
 

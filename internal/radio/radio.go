@@ -89,10 +89,6 @@ type Station struct {
 	listening bool
 	rxLoss    float64 // extra per-station reception loss probability
 	medium    *Medium
-	// promiscuous stations get a private clone of overheard unicasts (the
-	// node layer delivers those to the stack instead of dropping them);
-	// everyone else shares one read-only overhear copy per transmission.
-	promiscuous bool
 	// pending tracks receptions in flight, for the collision model;
 	// any two receptions whose airtimes overlap corrupt each other.
 	pending []*delivery
@@ -148,17 +144,6 @@ func (s *Station) Move(p geom.Point) {
 	s.medium.reindex(s, p)
 }
 
-// Promiscuous reports whether the station receives private clones of
-// overheard unicast traffic.
-func (s *Station) Promiscuous() bool { return s.promiscuous }
-
-// SetPromiscuous marks the station as an eavesdropper: frames addressed to
-// other nodes are delivered as private clones its handler may mutate.
-// Non-promiscuous stations share one overhear copy per transmission, which
-// their handlers must treat as read-only (the node layer only inspects the
-// header before dropping foreign unicasts).
-func (s *Station) SetPromiscuous(on bool) { s.promiscuous = on }
-
 type delivery struct {
 	to        *Station
 	pkt       *packet.Packet
@@ -203,10 +188,6 @@ type Medium struct {
 	deliverFn      func(any)
 	deliverBatchFn func(any)
 	rxScratch      []*Station
-	// perEvent restores the legacy one-kernel-event-per-receiver schedule.
-	// It exists solely for the batched-vs-per-event A/B benchmark; handler
-	// invocation order is identical either way.
-	perEvent bool
 
 	// Sharded operation (sharded.go): one laneCtx per spatial region and
 	// the station-to-lane assignment rule. Nil in sequential mode, where
@@ -315,9 +296,12 @@ func (m *Medium) Airtime(sizeBytes int) sim.Duration {
 	return sim.Duration(math.Ceil(us))
 }
 
-// Attach registers a station. handler receives one cloned packet per
-// successful delivery. Attaching an already-attached ID panics: duplicate
-// radio identities are a configuration bug (the deliberate case, the Sybil
+// Attach registers a station. handler is called once per successful
+// delivery with the transmission's snapshot: one clone of the sent frame,
+// shared with every other listener of the same transmission, so handler
+// must not modify it (a forwarder copies the header and replaces the slices
+// it changes). Attaching an already-attached ID panics: duplicate radio
+// identities are a configuration bug (the deliberate case, the Sybil
 // attack, forges packet headers instead).
 func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handler func(*packet.Packet)) *Station {
 	if _, dup := m.stations[id]; dup {
@@ -397,8 +381,11 @@ func sortStations(ss []*Station) {
 }
 
 // Transmit broadcasts pkt from station from. Every listening station within
-// range receives a clone after airtime + PropDelay, unless the loss model
-// drops it or (with Collisions) an overlapping reception corrupts it.
+// range receives the transmission's snapshot (see Attach) after airtime +
+// PropDelay, unless the loss model drops it or (with Collisions) an
+// overlapping reception corrupts it. The snapshot is taken when the frame
+// goes on the air, before Transmit returns unless CSMA defers it; from then
+// on the sender may modify pkt.
 // Unicast packets (pkt.To != Broadcast) still occupy every neighbor's radio
 // — wireless is broadcast — but are only handed to the addressee; the node
 // layer charges overhearing energy accordingly.
@@ -477,11 +464,10 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
 	}
 	m.rxScratch = m.inRangeInto(from, m.rxScratch[:0])
-	// One clone per receiver that will actually consume the payload
-	// (addressee, broadcast listener, eavesdropper); every other receiver
-	// overhears the same unicast only to charge energy and drop it at the
-	// node layer, so those share a single read-only copy per transmission.
-	var overhear *packet.Packet
+	// One snapshot per transmission, shared read-only by every listener.
+	// Like the batch, it is made at the first reception that survives the
+	// loss draws, so a transmission nobody hears costs no clone.
+	var snap *packet.Packet
 	var batch *deliveryBatch
 	for _, st := range m.rxScratch {
 		if !st.listening {
@@ -499,17 +485,12 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 			m.observeLoss(st, pkt, "loss")
 			continue
 		}
-		d := m.getDelivery()
-		var cp *packet.Packet
-		if pkt.To == packet.Broadcast || pkt.To == st.id || st.promiscuous {
-			cp = pkt.Clone()
-		} else {
-			if overhear == nil {
-				overhear = pkt.Clone()
-			}
-			cp = overhear
+		if batch == nil {
+			batch = m.getBatch()
+			snap = pkt.Clone()
 		}
-		d.to, d.pkt, d.start, d.end = st, cp, start, end
+		d := m.getDelivery()
+		d.to, d.pkt, d.start, d.end = st, snap, start, end
 		if m.cfg.Collisions {
 			// Any reception overlapping an in-flight one corrupts both.
 			for _, prev := range st.pending {
@@ -527,13 +508,6 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 				m.report(metrics.RadioCollided, 1)
 			}
 			st.pending = append(st.pending, d)
-		}
-		if m.perEvent {
-			m.k.ScheduleArgAt(end, m.deliverFn, d)
-			continue
-		}
-		if batch == nil {
-			batch = m.getBatch()
 		}
 		batch.entries = append(batch.entries, d)
 	}

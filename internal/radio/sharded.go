@@ -33,7 +33,9 @@ type laneCtx struct {
 }
 
 // remoteDelivery is a reception crossing a region border, staged until the
-// barrier. The packet is always a private clone: it crosses goroutines.
+// barrier. The packet is the transmission's read-only snapshot, which the
+// destination lane reads after the barrier while other lanes may read it
+// too.
 type remoteDelivery struct {
 	to         *Station
 	pkt        *packet.Packet
@@ -124,7 +126,9 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 	start := lc.k.Now()
 	end := start + airtime + m.cfg.PropDelay
 	lc.scratch = m.inRangeInto(from, lc.scratch[:0])
-	var overhear *packet.Packet
+	// One snapshot per transmission, shared read-only by home-lane and
+	// cross-border listeners alike (see transmitNow).
+	var snap *packet.Packet
 	// Home-lane receptions of one transmission all complete at the same
 	// instant; they are scheduled as a single batch event (ID-sorted entry
 	// order matches the per-event firing order, exactly as in the sequential
@@ -135,8 +139,11 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 		if st.lane != from.lane {
 			// Cross-border: stage unconditionally; the listening and loss
 			// checks belong to the destination lane and run at adoption.
+			if snap == nil {
+				snap = pkt.Clone()
+			}
 			lc.outbox[st.lane] = append(lc.outbox[st.lane],
-				remoteDelivery{to: st, pkt: pkt.Clone(), start: start, end: end})
+				remoteDelivery{to: st, pkt: snap, start: start, end: end})
 			continue
 		}
 		if !st.listening || st.handler == nil {
@@ -152,16 +159,11 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 			m.report(metrics.RadioLost, 1)
 			continue
 		}
-		d := lc.getDelivery()
-		if pkt.To == packet.Broadcast || pkt.To == st.id || st.promiscuous {
-			d.pkt = pkt.Clone()
-		} else {
-			if overhear == nil {
-				overhear = pkt.Clone()
-			}
-			d.pkt = overhear
+		if snap == nil {
+			snap = pkt.Clone()
 		}
-		d.to, d.start, d.end = st, start, end
+		d := lc.getDelivery()
+		d.to, d.pkt, d.start, d.end = st, snap, start, end
 		if batch == nil {
 			batch = lc.getBatch()
 		}
