@@ -134,12 +134,14 @@ faults:
 soak:
 	$(GO) test -race -v -run 'Soak|InvariantViolation' ./internal/chaos/ -soak.trials=16
 
-# Short fuzzing pass over every wire-format parser.
+# Short fuzzing pass over every wire-format parser and the incremental
+# spatial grid, which fills every radio receiver list.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
 	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSecMLRGatewayInput -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s ./internal/geom/
 
 # Simulation-as-a-service daemon: build the binary, then the endpoint,
 # cancellation and 64-client load tests under the race detector.

@@ -13,7 +13,8 @@ import (
 // is the transmission's snapshot (one struct; the test packet has no path,
 // payload or security envelope), whatever the number of listeners. Events
 // come from the kernel pool, deliveries from the medium pool, the receiver
-// set from the scratch buffer, and no closure or Timer is created.
+// set from the sender's cache (or the scratch buffer), and no closure or
+// Timer is created.
 func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	for _, listeners := range []int{1, 8, 32} {
 		t.Run(fmt.Sprintf("listeners=%d", listeners), func(t *testing.T) {
@@ -42,6 +43,42 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 			}
 		})
 	}
+	// A broadcast wave: every station transmits exactly once in one epoch,
+	// as in the scale sweep. A receiver cache filled at the first
+	// transmission would allocate one slice per sender here; it is filled
+	// only at the second, so the snapshot stays the only allocation.
+	t.Run("transmit-once", func(t *testing.T) {
+		const warm, perCycle, runs = 64, 4, 200
+		k := sim.NewKernel(1)
+		m := New(k, Config{BitRate: 250_000})
+		got := 0
+		var line []*Station
+		for i := 0; i < warm+perCycle*(runs+1); i++ {
+			line = append(line, m.Attach(packet.NodeID(1+i), geom.Point{X: float64(4 * i)}, 20,
+				func(*packet.Packet) { got++ }))
+		}
+		want := 0
+		for _, s := range line {
+			want += len(m.InRange(s))
+		}
+		pkt := testPkt(1)
+		next := 0
+		send := func(n int) {
+			for ; n > 0; n-- {
+				m.Transmit(line[next], pkt)
+				next++
+			}
+			k.RunAll()
+		}
+		send(warm) // warm every pool and the scratch buffer
+		avg := testing.AllocsPerRun(runs, func() { send(perCycle) })
+		if avg > perCycle {
+			t.Fatalf("a cycle of %d first transmissions allocates %.2f, want <=%d (the snapshots)", perCycle, avg, perCycle)
+		}
+		if next != len(line) || got != want {
+			t.Fatalf("%d stations sent, %d frames delivered; want %d and %d", next, got, len(line), want)
+		}
+	})
 }
 
 // The collision model's pending lists must not break delivery pooling: under

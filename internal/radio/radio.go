@@ -80,21 +80,30 @@ type Stats struct {
 	CSMADropped   uint64 // packets abandoned after MaxBackoffs attempts
 }
 
-// Station is a node's attachment to a medium.
+// Station is a node's attachment to a medium. The field order packs it
+// into 128 bytes: scale runs attach 100k stations.
 type Station struct {
-	id        packet.NodeID
+	id packet.NodeID
+	// lane is the owning region when the medium is sharded (sharded.go);
+	// always 0 otherwise. Immutable during parallel windows.
+	lane      int32
 	pos       geom.Point
 	rangeM    float64
 	handler   func(*packet.Packet)
 	listening bool
+	rxFilled  bool    // see rx
 	rxLoss    float64 // extra per-station reception loss probability
 	medium    *Medium
 	// pending tracks receptions in flight, for the collision model;
 	// any two receptions whose airtimes overlap corrupt each other.
 	pending []*delivery
-	// lane is the owning region when the medium is sharded (sharded.go);
-	// always 0 otherwise. Immutable during parallel windows.
-	lane int32
+	// rx caches the ID-sorted stations within range once rxFilled is set.
+	// rxEpoch and rxRange are the key it was (or is about to be) filled
+	// under: the medium's topology epoch and this station's range. See
+	// Medium.receivers.
+	rx      []*Station
+	rxEpoch uint64
+	rxRange float64
 }
 
 // ID returns the station's node ID.
@@ -156,9 +165,10 @@ type delivery struct {
 // transmission. Scheduling the batch as a single kernel event replaces the
 // one-event-per-receiver pattern: a broadcast heard by d neighbors costs
 // one heap operation instead of d. Entries stay in ID-sorted receiver
-// order (inRangeInto sorts), so handler invocation order is identical to
-// the per-event schedule, whose same-timestamp events fired in the
-// consecutive sequence order they were created in.
+// order (receivers returns stations sorted by ID, cached or fresh), so
+// handler invocation order is identical to the per-event schedule, whose
+// same-timestamp events fired in the consecutive sequence order they were
+// created in.
 type deliveryBatch struct {
 	entries []*delivery
 }
@@ -178,6 +188,10 @@ type Medium struct {
 	grid     *geom.GridIndex[*Station] // spatial index for receiver lookup
 	stats    Stats
 	active   []activeTx // in-flight transmissions (CSMA only)
+	// epoch counts topology changes (Attach, Detach, Move); it keys every
+	// station's receiver cache. It changes only where the grid does, so on
+	// a sharded medium only at barriers and in global phases.
+	epoch uint64
 
 	// Hot-path scratch: delivery structs and batches are pooled on free
 	// lists and scheduled through the kernel's zero-alloc arg path via
@@ -313,6 +327,7 @@ func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handle
 	}
 	m.stations[id] = s
 	m.grid.Insert(s, pos)
+	m.epoch++
 	return s
 }
 
@@ -326,6 +341,7 @@ func (m *Medium) Detach(id packet.NodeID) {
 	m.grid.Remove(s, s.pos)
 	delete(m.stations, id)
 	s.handler = nil
+	m.epoch++
 }
 
 // Station returns the attachment for id, or nil.
@@ -334,6 +350,7 @@ func (m *Medium) Station(id packet.NodeID) *Station { return m.stations[id] }
 func (m *Medium) reindex(s *Station, p geom.Point) {
 	m.grid.Move(s, s.pos, p)
 	s.pos = p
+	m.epoch++
 }
 
 // InRange returns the stations within sender's range, excluding the sender
@@ -354,6 +371,31 @@ func (m *Medium) inRangeInto(sender *Station, out []*Station) []*Station {
 	out = m.grid.AppendWithin(out, sender.pos, sender.rangeM, sender)
 	sortStations(out[base:])
 	return out
+}
+
+// receivers returns from's ID-sorted in-range stations for a transmission.
+// While the medium's epoch and from's range match from's cache key, the
+// cached list is returned; otherwise the key is reset and the list is
+// computed into *scratch by inRangeInto. The cache is filled only at the
+// second transmission under one key, so a station that transmits once per
+// topology allocates nothing for it; the fill copies the scratch list into
+// the cache's backing array, which grows at most once per fill, to fit.
+// SetRange changes no epoch: only a sender's own range decides who hears
+// it, and that range is part of the key. Listening, loss and handler
+// checks stay with the caller, per transmission. The result is read-only
+// and valid until the next call for from or with scratch.
+func (m *Medium) receivers(from *Station, scratch *[]*Station) []*Station {
+	if from.rxEpoch != m.epoch || from.rxRange != from.rangeM {
+		from.rxEpoch, from.rxRange, from.rxFilled = m.epoch, from.rangeM, false
+		*scratch = m.inRangeInto(from, (*scratch)[:0])
+		return *scratch
+	}
+	if !from.rxFilled {
+		*scratch = m.inRangeInto(from, (*scratch)[:0])
+		from.rx = append(from.rx[:0], *scratch...)
+		from.rxFilled = true
+	}
+	return from.rx
 }
 
 // Neighbors returns the IDs of stations within range of id.
@@ -463,13 +505,12 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 	if m.cfg.CSMA {
 		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
 	}
-	m.rxScratch = m.inRangeInto(from, m.rxScratch[:0])
 	// One snapshot per transmission, shared read-only by every listener.
 	// Like the batch, it is made at the first reception that survives the
 	// loss draws, so a transmission nobody hears costs no clone.
 	var snap *packet.Packet
 	var batch *deliveryBatch
-	for _, st := range m.rxScratch {
+	for _, st := range m.receivers(from, &m.rxScratch) {
 		if !st.listening {
 			continue
 		}

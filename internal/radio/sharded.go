@@ -125,7 +125,6 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 	airtime := m.Airtime(pkt.Size())
 	start := lc.k.Now()
 	end := start + airtime + m.cfg.PropDelay
-	lc.scratch = m.inRangeInto(from, lc.scratch[:0])
 	// One snapshot per transmission, shared read-only by home-lane and
 	// cross-border listeners alike (see transmitNow).
 	var snap *packet.Packet
@@ -135,7 +134,9 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 	// engine's deliverBatch), so a broadcast heard by d home neighbors costs
 	// one heap operation instead of d.
 	var batch *deliveryBatch
-	for _, st := range lc.scratch {
+	// from's receiver cache is written only here, by from's own lane, and
+	// the epoch keying it changes only at barriers.
+	for _, st := range m.receivers(from, &lc.scratch) {
 		if st.lane != from.lane {
 			// Cross-border: stage unconditionally; the listening and loss
 			// checks belong to the destination lane and run at adoption.
