@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"wmsn/internal/attack"
+	"wmsn/internal/fault"
 	"wmsn/internal/obs"
 	"wmsn/internal/protocol"
 	"wmsn/internal/sim"
@@ -29,8 +31,10 @@ type digestRun struct {
 
 // digestMatrix lists the runs the digest pins: every registered protocol on
 // the lossy, link-ARQ, gateway-kill and churn workload, MLR with short
-// rounds so gateways move (with and without that fault plan), and LEACH with
-// short rounds so stations switch transmission range.
+// rounds so gateways move (with and without that fault plan), LEACH with
+// short rounds so stations switch transmission range, every protocol on the
+// same field clean and at 20% loss with link ARQ, and every attack kind at
+// a 10% compromise on SPR, MLR and SecMLR.
 func digestMatrix() []digestRun {
 	var runs []digestRun
 	for _, seed := range []int64{5, 6} {
@@ -49,7 +53,34 @@ func digestMatrix() []digestRun {
 		leach.Faults = nil
 		runs = append(runs, digestRun{fmt.Sprintf("rounds/%s/seed%d", LEACH, seed), leach})
 	}
+	for _, seed := range []int64{5, 6} {
+		for _, p := range protocol.IDs() {
+			runs = append(runs, digestRun{fmt.Sprintf("clean/%s/seed%d", p, seed), digestCleanConfig(seed, p)})
+			lossy := arqChaosConfig(seed, p)
+			lossy.LossRate = 0.2
+			lossy.Faults = nil
+			runs = append(runs, digestRun{fmt.Sprintf("lossy-arq/%s/seed%d", p, seed), lossy})
+		}
+	}
+	for _, name := range attack.KindNames() {
+		kind, _ := attack.ParseKind(name)
+		for _, p := range []Protocol{SPR, MLR, SecMLR} {
+			cfg := digestCleanConfig(5, p)
+			cfg.Faults = fault.NewPlan().CompromiseFractionAt(20*sim.Second, 0.1, attack.Spec{Kind: kind}, 5)
+			runs = append(runs, digestRun{fmt.Sprintf("attack/%s/%s/seed5", name, p), cfg})
+		}
+	}
 	return runs
+}
+
+// digestCleanConfig is arqChaosConfig's field with no loss, no fault plan
+// and default protocol parameters (so no link ARQ).
+func digestCleanConfig(seed int64, p Protocol) Config {
+	cfg := arqChaosConfig(seed, p)
+	cfg.LossRate = 0
+	cfg.Faults = nil
+	cfg.Params = nil
+	return cfg
 }
 
 // digestParts are the hashed outputs of one run, in line order.
