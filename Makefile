@@ -68,7 +68,7 @@ bench-hotpath:
 	rm -f bench_output.txt
 
 # Scale snapshot (BENCH_scale.json): the 10k and 100k E1-style sweeps and
-# the sharded broadcast wave, one pinned iteration each so ns/op is the
+# the broadcast wave, one pinned iteration each so ns/op is the
 # sweep's wall-clock and allocs/op is exactly reproducible. The end-to-end
 # and dedupe guard rows ride along (same pinned counts as bench-hotpath) so
 # bench-guard can diff against this snapshot going forward.
@@ -97,13 +97,13 @@ bench-guard:
 # wmsnbench one-off sweep (wall-clock printed per row).
 scale-smoke:
 	$(GO) test -race -v -run 'TestScale10k' ./internal/experiments/
-	$(GO) run ./cmd/wmsnbench -scale -n 10000 -shards 4
+	$(GO) run ./cmd/wmsnbench -scale -n 10000
 
 # 100k-node sweep without the race detector (its shadow memory makes 100k
-# fields pointlessly slow): the hop sweep plus the region-sharded broadcast
-# wave, with a CPU profile for the CI artifact.
+# fields pointlessly slow): the hop sweep plus the broadcast wave, with a
+# CPU profile for the CI artifact.
 scale-100k:
-	$(GO) run ./cmd/wmsnbench -scale -n 100000 -shards 4 -cpuprofile scale100k.prof
+	$(GO) run ./cmd/wmsnbench -scale -n 100000 -cpuprofile scale100k.prof
 
 # CPU and heap profiles of the quick experiment suite (see DESIGN.md,
 # "Profiling"); inspect with `go tool pprof cpu.prof`.
@@ -129,7 +129,7 @@ faults:
 
 # Seeded chaos/soak harness under the race detector: randomized fault
 # plans on lossy media with link ARQ armed, plus attack-randomized
-# compromise campaigns (TestSoakAttacks*), structural invariants
+# compromise campaigns (TestSoakAttacks), structural invariants
 # (conservation ledger, queue drain, timer hygiene) checked per trial.
 soak:
 	$(GO) test -race -v -run 'Soak|InvariantViolation' ./internal/chaos/ -soak.trials=16

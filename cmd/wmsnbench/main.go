@@ -58,9 +58,8 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 1.0, "gauge sampling interval in seconds for traced runs (0 disables gauge samples)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the suite to this file")
-	scale := flag.Bool("scale", false, "run a one-off E1-style scale sweep (-n sensors, -shards regions) and exit")
+	scale := flag.Bool("scale", false, "run a one-off E1-style scale sweep (-n sensors, -workers hop-sweep workers) and exit")
 	scaleN := flag.Int("n", 10000, "field size for -scale (number of sensors)")
-	shards := flag.Int("shards", 1, "concurrent regions for the -scale traffic phase (1 = sequential engine); also sizes the hop-sweep worker pool")
 	flag.Parse()
 
 	if *scale {
@@ -68,10 +67,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			os.Exit(1)
 		}
-		// One options struct carries the flag plumbing: -shards sizes both
-		// the hop-sweep worker pool and the traffic engine's region count,
-		// exactly as the separate parameters used to.
-		sopts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: *shards, Shards: *shards}
+		sopts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: *workers}
 		fmt.Println(experiments.ScaleSweep(sopts, *scaleN, []int{1, 4, 16}, 901).String())
 		fmt.Println(experiments.ScaleTraffic(sopts, *scaleN, 901).String())
 		pprof.StopCPUProfile()

@@ -30,10 +30,10 @@ type Counters struct {
 
 // NodeRand returns the deterministic private RNG for an attacker bound to
 // the given node: a stream seeded from the scenario seed and the node ID
-// only. Attackers must never draw from the world kernel's RNG — under
-// Config.Shards that RNG is per-lane, so one attacker's draw would perturb
-// every other consumer on its lane and the campaign would depend on the
-// shard count.
+// only. Attackers must never draw from the world kernel's RNG: one draw
+// there shifts every later loss draw, jitter and traffic phase of the run,
+// so a campaign's outcome would mix its own effect with a reshuffled random
+// stream.
 func NodeRand(seed int64, id packet.NodeID) *rand.Rand {
 	const mix = int64(-0x61C8864680B583EB) // golden-ratio multiplier, two's complement
 	return rand.New(rand.NewSource(seed ^ int64(id)*mix))
@@ -93,8 +93,8 @@ type SelectiveForwarder struct {
 	Inner    node.Stack
 	DropProb float64
 	// Rng, when set, is the attacker's private drop-decision stream
-	// (NodeRand). Nil falls back to the world kernel's RNG, which is only
-	// safe in unsharded runs; the fault injector always sets it.
+	// (NodeRand). Nil falls back to the world kernel's RNG, which shifts
+	// the run's shared stream; the fault injector always sets it.
 	Rng *rand.Rand
 	// Metrics, when set, mirrors drops into the run sink (AttackerDropped).
 	Metrics  metrics.Sink
@@ -155,7 +155,7 @@ type Replayer struct {
 	// eavesdropper node of experiment E9.
 	Inner node.Stack
 	// Rng is the private jitter stream (NodeRand); nil falls back to the
-	// world kernel's RNG, which is only safe in unsharded runs.
+	// world kernel's RNG, which shifts the run's shared stream.
 	Rng *rand.Rand
 	// Metrics, when set, mirrors injections into the run sink.
 	Metrics  metrics.Sink

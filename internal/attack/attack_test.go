@@ -326,7 +326,7 @@ func TestSelectiveForwarderDropProbability(t *testing.T) {
 
 // TestNodeRandDeterministicPerNode pins the attacker RNG contract: the
 // stream is a pure function of (scenario seed, node ID), identical across
-// calls and distinct across nodes — never the kernel's per-lane RNG.
+// calls and distinct across nodes — never the kernel's shared RNG.
 func TestNodeRandDeterministicPerNode(t *testing.T) {
 	draw := func(seed int64, id packet.NodeID) [4]float64 {
 		r := NodeRand(seed, id)

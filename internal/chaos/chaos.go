@@ -51,11 +51,6 @@ type Options struct {
 	// RecorderCap bounds the flight recorder's ring buffer; 0 selects
 	// obs.DefaultRecorderCap.
 	RecorderCap int
-	// Shards > 1 runs every trial region-sharded (scenario.Config.Shards):
-	// the same fault plans and invariants, executed by concurrent region
-	// workers. Incompatible with ArtifactDir — the obs bus is not
-	// concurrency-safe, and scenario validation rejects the combination.
-	Shards int
 	// Attacks adds one randomized compromise campaign per trial: a random
 	// attack family hits a random 5–25% sensor fraction at a random onset.
 	// The structural invariants must keep holding — attacker-swallowed
@@ -143,7 +138,6 @@ func compose(rng *rand.Rand, o Options) scenario.Config {
 		SensorBattery: 1e6,
 		Params:        &p,
 		Faults:        plan,
-		Shards:        o.Shards,
 	}
 }
 

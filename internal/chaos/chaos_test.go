@@ -47,54 +47,25 @@ func TestSoak(t *testing.T) {
 	}
 }
 
-// TestSoakSharded runs the same randomized fault plans region-sharded
-// (Config.Shards > 1): concurrent region workers, staged deaths, outbox
-// adoption — under the full invariant battery, with link ARQ armed and
-// deaths landing mid-window. Sharded trials must also be deterministic
-// functions of their seed, or no violation they find is replayable.
-func TestSoakSharded(t *testing.T) {
-	opt := Options{Seed: 20260807, Trials: 4, RunFor: 40 * sim.Second, Shards: 3, Log: t.Logf}
-	trials, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trials) != opt.Trials {
-		t.Fatalf("completed %d trials, want %d", len(trials), opt.Trials)
-	}
-	for _, tr := range trials {
-		if tr.Delivery < 0 || tr.Delivery > 1 {
-			t.Fatalf("trial seed %d: impossible delivery ratio %v", tr.Seed, tr.Delivery)
-		}
-	}
-	replay, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trials {
-		sa, sb := trials[i].Result.Metrics.Snapshot(), replay[i].Result.Metrics.Snapshot()
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("sharded trial %d diverged between identical soak runs:\n%+v\nvs\n%+v", i, sa, sb)
-		}
-	}
-}
-
-// TestSoakDeterministic replays one trial seed and demands identical
-// metrics: a violation found by the soak must be reproducible from its
-// seed alone.
+// TestSoakDeterministic replays trial seeds, with and without compromise
+// campaigns, and demands identical metrics: a violation found by the soak
+// must be reproducible from its seed alone.
 func TestSoakDeterministic(t *testing.T) {
-	opt := Options{Seed: 99, Trials: 2, RunFor: 30 * sim.Second}
-	a, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		sa, sb := a[i].Result.Metrics.Snapshot(), b[i].Result.Metrics.Snapshot()
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("trial %d diverged between identical soak runs:\n%+v\nvs\n%+v", i, sa, sb)
+	for _, attacks := range []bool{false, true} {
+		opt := Options{Seed: 99, Trials: 2, RunFor: 30 * sim.Second, Attacks: attacks}
+		a, err := Soak(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Soak(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			sa, sb := a[i].Result.Metrics.Snapshot(), b[i].Result.Metrics.Snapshot()
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("attacks=%v trial %d diverged between identical soak runs:\n%+v\nvs\n%+v", attacks, i, sa, sb)
+			}
 		}
 	}
 }
@@ -201,35 +172,6 @@ func TestSoakAttacks(t *testing.T) {
 	}
 	if compromised == 0 {
 		t.Fatal("no trial compromised any node — the attack campaigns never engaged")
-	}
-}
-
-// TestSoakAttacksSharded runs attack-randomized trials region-sharded and
-// replays them: compromise campaigns must be deterministic functions of the
-// trial seed at any shard count, or no violation they find is replayable.
-func TestSoakAttacksSharded(t *testing.T) {
-	opt := Options{Seed: 20260809, Trials: 4, RunFor: 40 * sim.Second, Shards: 3,
-		Attacks: true, Log: t.Logf}
-	trials, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compromised uint64
-	for _, tr := range trials {
-		compromised += tr.Result.Metrics.CompromisedNodes
-	}
-	if compromised == 0 {
-		t.Fatal("no sharded trial compromised any node")
-	}
-	replay, err := Soak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trials {
-		sa, sb := trials[i].Result.Metrics.Snapshot(), replay[i].Result.Metrics.Snapshot()
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("sharded attack trial %d diverged between identical soak runs:\n%+v\nvs\n%+v", i, sa, sb)
-		}
 	}
 }
 

@@ -39,12 +39,6 @@ type Opts struct {
 	// worker count. Sweep jobs that drive scenarios inside custom per-job
 	// code (e.g. mid-run failure injection) are not captured.
 	Metrics *metrics.Aggregate
-	// Shards selects the region-sharded engine for the experiments that
-	// support it (currently ScaleTraffic): 0 or 1 runs the plain
-	// single-kernel engine, N > 1 splits the field into N concurrently
-	// simulated regions. Ignored by the golden E1..E14 suite, which pins
-	// single-kernel output.
-	Shards int
 	// Trace, when non-nil, spools one JSONL event trace per harness run.
 	// The same caveat as Metrics applies: only runs through runConfigs are
 	// traced. Runs keep their events in memory (one obs.Capture each) and

@@ -18,13 +18,12 @@ func benchScaleSweep(b *testing.B, n int) {
 func BenchmarkScaleSweep10k(b *testing.B)  { benchScaleSweep(b, 10_000) }
 func BenchmarkScaleSweep100k(b *testing.B) { benchScaleSweep(b, 100_000) }
 
-func benchScaleTraffic(b *testing.B, n, shards int) {
+func benchScaleTraffic(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ScaleTraffic(Opts{Shards: shards}, n, 901)
+		ScaleTraffic(Opts{}, n, 901)
 	}
 }
 
-func BenchmarkScaleTraffic10k(b *testing.B)     { benchScaleTraffic(b, 10_000, 4) }
-func BenchmarkScaleTraffic100k(b *testing.B)    { benchScaleTraffic(b, 100_000, 4) }
-func BenchmarkScaleTraffic100kSeq(b *testing.B) { benchScaleTraffic(b, 100_000, 1) }
+func BenchmarkScaleTraffic10k(b *testing.B)  { benchScaleTraffic(b, 10_000) }
+func BenchmarkScaleTraffic100k(b *testing.B) { benchScaleTraffic(b, 100_000) }

@@ -93,7 +93,8 @@ type Event struct {
 	Frac float64
 	// ASeed seeds the private victim-selection shuffle of
 	// OpCompromiseFraction, keeping the victim set independent of the
-	// run's kernel RNG (and therefore of the shard count).
+	// run's kernel RNG (and therefore of the protocol, the loss model and
+	// anything else the run drew before the compromise).
 	ASeed int64
 }
 
@@ -205,7 +206,7 @@ func (p *Plan) CompromiseAt(at sim.Time, id packet.NodeID, sp attack.Spec) *Plan
 // CompromiseFractionAt schedules the compromise of a deterministic fraction
 // of the run's sensors (rounded, at least one) at virtual time at. Victims
 // are chosen by a private shuffle seeded from seed alone, so the same plan
-// compromises the same nodes at any worker or shard count.
+// compromises the same nodes under every protocol and at any worker count.
 func (p *Plan) CompromiseFractionAt(at sim.Time, frac float64, sp attack.Spec, seed int64) *Plan {
 	p.Events = append(p.Events, Event{At: at, Op: OpCompromiseFraction, Frac: frac, Attack: &sp, ASeed: seed})
 	return p

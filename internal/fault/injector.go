@@ -28,7 +28,7 @@ type Env struct {
 	Horizon sim.Time
 	// Seed is the scenario seed; compromise ops derive each attacker's
 	// private RNG from it (attack.NodeRand) so adversary behavior never
-	// draws from the kernel's — possibly per-lane — RNG.
+	// draws from the kernel's shared RNG.
 	Seed int64
 	// StopRouter and ResumeRouter, when set, implement the polite
 	// control-plane partition on a mesh backbone. Nil hooks degrade
@@ -212,7 +212,8 @@ func (in *Injector) exec(ev Event) {
 	case OpCompromise:
 		in.compromise(ev, ev.Node)
 	case OpCompromiseFraction:
-		// Victim selection must not depend on worker or shard count, so the
+		// Victim selection must not depend on what the run drew from its
+		// kernel RNG before the compromise (protocol, loss draws), so the
 		// shuffle uses a private RNG seeded from the plan, never the kernel's.
 		pool := append([]packet.NodeID(nil), in.env.Sensors...)
 		rng := rand.New(rand.NewSource(ev.ASeed))

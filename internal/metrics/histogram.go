@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"wmsn/internal/sim"
 )
@@ -85,8 +84,8 @@ func histBucketBounds(i int) (lo, hi uint64) {
 // is ready to use. Observe is exact for values below 8 and within a 12.5%
 // relative bucket width above; Sum, Count, Min and Max are always exact.
 // Merge is element-wise addition, so it is commutative and associative:
-// folding per-run histograms in any order (parallel workers, spatial shards)
-// yields bit-identical state.
+// folding per-run histograms in any order (parallel workers) yields
+// bit-identical state.
 type Hist struct {
 	counts [histBuckets]uint64
 	sum    uint64
@@ -97,8 +96,7 @@ type Hist struct {
 	maxEnc uint64
 }
 
-// Observe records one sample. Not safe for concurrent use; see
-// ObserveAtomic for the sharded path.
+// Observe records one sample. Not safe for concurrent use.
 func (h *Hist) Observe(v uint64) {
 	if v > histMaxValue {
 		v = histMaxValue
@@ -111,37 +109,6 @@ func (h *Hist) Observe(v uint64) {
 	}
 	if v+1 > h.maxEnc {
 		h.maxEnc = v + 1
-	}
-}
-
-// ObserveAtomic records one sample using atomic operations, for use while
-// spatial shard workers record concurrently. Because every update is a
-// commutative add (or an order-free min/max), the final state is identical
-// to the sequential result for the same sample multiset.
-func (h *Hist) ObserveAtomic(v uint64) {
-	if v > histMaxValue {
-		v = histMaxValue
-	}
-	atomic.AddUint64(&h.counts[histIndex(v)], 1)
-	atomic.AddUint64(&h.sum, v)
-	atomic.AddUint64(&h.count, 1)
-	for {
-		cur := atomic.LoadUint64(&h.minEnc)
-		if cur != 0 && cur <= v+1 {
-			break
-		}
-		if atomic.CompareAndSwapUint64(&h.minEnc, cur, v+1) {
-			break
-		}
-	}
-	for {
-		cur := atomic.LoadUint64(&h.maxEnc)
-		if cur >= v+1 {
-			break
-		}
-		if atomic.CompareAndSwapUint64(&h.maxEnc, cur, v+1) {
-			break
-		}
 	}
 }
 

@@ -25,9 +25,9 @@ func randomSamples(r *rand.Rand, n int) []uint64 {
 }
 
 // TestHistMergeCommutative pins the determinism contract that makes
-// histograms safe to fold across workers and shards: Merge(a,b) and
-// Merge(b,a) produce bit-identical state (compared through the exact-state
-// snapshot), and merging matches observing the union directly.
+// histograms safe to fold across workers: Merge(a,b) and Merge(b,a) produce
+// bit-identical state (compared through the exact-state snapshot), and
+// merging matches observing the union directly.
 func TestHistMergeCommutative(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -59,23 +59,20 @@ func TestHistMergeCommutative(t *testing.T) {
 	}
 }
 
-// TestHistAtomicMatchesSequential pins that ObserveAtomic over any
-// interleaving equals sequential Observe for the same multiset (here the
-// degenerate single-goroutine interleaving; the commutativity of the update
-// ops extends it to concurrent ones).
-func TestHistAtomicMatchesSequential(t *testing.T) {
+// TestHistObserveOrderIndependent pins that a histogram's state depends only
+// on the multiset of observed samples, not on the order they arrive in.
+func TestHistObserveOrderIndependent(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	samples := randomSamples(r, 1000)
-	var seq, at Hist
+	var fwd, rev Hist
 	for _, v := range samples {
-		seq.Observe(v)
+		fwd.Observe(v)
 	}
-	// Reversed order: final state must not depend on observation order.
 	for i := len(samples) - 1; i >= 0; i-- {
-		at.ObserveAtomic(samples[i])
+		rev.Observe(samples[i])
 	}
-	if seq != at {
-		t.Fatalf("atomic/reversed state differs from sequential")
+	if fwd != rev {
+		t.Fatalf("reversed observation order changed the histogram state")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"wmsn/internal/obs"
 	"wmsn/internal/packet"
@@ -204,8 +203,7 @@ type Memory struct {
 	perGateway map[packet.NodeID]uint64
 	delivered  map[floodKey]struct{}
 	obs        *obs.Bus
-	progress   *sim.Progress    // optional live watermark (delivery count)
-	conc       *concurrentState // non-nil in multi-goroutine mode (concurrent.go)
+	progress   *sim.Progress // optional live watermark (delivery count)
 }
 
 var _ Sink = (*Memory)(nil)
@@ -299,10 +297,6 @@ func (m *Memory) counterPtr(c Counter) *uint64 {
 // Inc adds one to a named counter. Unknown counters are ignored.
 func (m *Memory) Inc(c Counter) {
 	if p := m.counterPtr(c); p != nil {
-		if m.conc != nil {
-			atomic.AddUint64(p, 1)
-			return
-		}
 		*p++
 	}
 }
@@ -310,10 +304,6 @@ func (m *Memory) Inc(c Counter) {
 // Add adds n to a named counter. Unknown counters are ignored.
 func (m *Memory) Add(c Counter, n uint64) {
 	if p := m.counterPtr(c); p != nil {
-		if m.conc != nil {
-			atomic.AddUint64(p, n)
-			return
-		}
 		*p += n
 	}
 }
@@ -325,10 +315,6 @@ func (m *Memory) Observe(h HistID, v uint64) {
 	if h >= numHists {
 		return
 	}
-	if m.conc != nil {
-		m.hists[h].ObserveAtomic(v)
-		return
-	}
 	m.hists[h].Observe(v)
 }
 
@@ -338,7 +324,6 @@ func (m *Memory) Hist(h HistID) *Hist {
 	if h >= numHists {
 		h = 0
 	}
-	m.Settle()
 	return &m.hists[h]
 }
 
@@ -349,9 +334,6 @@ func (m *Memory) SetProgress(p *sim.Progress) { m.progress = p }
 // Count returns the current value of a named counter (0 when unknown).
 func (m *Memory) Count(c Counter) uint64 {
 	if p := m.counterPtr(c); p != nil {
-		if m.conc != nil {
-			return atomic.LoadUint64(p)
-		}
 		return *p
 	}
 	return 0
@@ -366,10 +348,6 @@ func (m *Memory) SetObserver(b *obs.Bus) { m.obs = b }
 
 // RecordGenerated notes a data packet leaving its origin.
 func (m *Memory) RecordGenerated(origin packet.NodeID, seq uint32, now sim.Time) {
-	if m.conc != nil {
-		m.recordGeneratedConcurrent(origin, seq, now)
-		return
-	}
 	m.Generated++
 	m.pending[floodKey{origin, seq}] = pendingData{at: now}
 	if m.obs.Active() {
@@ -379,10 +357,6 @@ func (m *Memory) RecordGenerated(origin packet.NodeID, seq uint32, now sim.Time)
 
 // RecordDelivered notes a data packet accepted by gateway gw.
 func (m *Memory) RecordDelivered(origin packet.NodeID, seq uint32, gw packet.NodeID, hops int, now sim.Time) {
-	if m.conc != nil {
-		m.recordDeliveredConcurrent(origin, seq, gw, hops, now)
-		return
-	}
 	k := floodKey{origin, seq}
 	if _, dup := m.delivered[k]; dup {
 		m.Duplicates++
@@ -410,14 +384,12 @@ func (m *Memory) RecordDelivered(origin packet.NodeID, seq uint32, gw packet.Nod
 // delivered — the observability sampler's "in flight" gauge. O(1), no
 // allocation.
 func (m *Memory) PendingCount() int {
-	m.Settle()
 	return len(m.pending)
 }
 
 // Undelivered lists (origin, seq) pairs generated but never delivered, in
 // unspecified order — post-mortem debugging and loss analysis.
 func (m *Memory) Undelivered() [][2]uint64 {
-	m.Settle()
 	out := make([][2]uint64, 0, len(m.pending))
 	for k := range m.pending {
 		out = append(out, [2]uint64{uint64(k.origin), uint64(k.seq)})
@@ -427,7 +399,6 @@ func (m *Memory) Undelivered() [][2]uint64 {
 
 // DeliveryRatio returns Delivered/Generated (1 when nothing was generated).
 func (m *Memory) DeliveryRatio() float64 {
-	m.Settle()
 	if m.Generated == 0 {
 		return 1
 	}
@@ -436,7 +407,6 @@ func (m *Memory) DeliveryRatio() float64 {
 
 // MeanHops returns the average hop count over delivered data.
 func (m *Memory) MeanHops() float64 {
-	m.Settle()
 	if m.hopsN == 0 {
 		return 0
 	}
@@ -447,7 +417,6 @@ func (m *Memory) MeanHops() float64 {
 // delivery histogram carries the exact sum and count, so the mean is exact
 // even on merged aggregates that no longer hold raw samples.
 func (m *Memory) MeanLatency() sim.Duration {
-	m.Settle()
 	h := &m.hists[HistDeliveryLatencyUs]
 	if h.count == 0 {
 		return 0
@@ -464,7 +433,6 @@ func (m *Memory) MeanLatency() sim.Duration {
 // A merged aggregate (Merge drops raw samples to keep memory fixed) answers
 // from the delivery histogram, exact to within its 12.5% bucket width.
 func (m *Memory) LatencyPercentile(p float64) sim.Duration {
-	m.Settle()
 	h := &m.hists[HistDeliveryLatencyUs]
 	if h.count == 0 {
 		return 0
@@ -497,7 +465,6 @@ func (m *Memory) LatencyPercentile(p float64) sim.Duration {
 // were accepted by gateways — the forged-data-accepted metric of the Sybil
 // experiment.
 func (m *Memory) DeliveredFrom(origin packet.NodeID) uint64 {
-	m.Settle()
 	var n uint64
 	for k := range m.delivered {
 		if k.origin == origin {
@@ -509,7 +476,6 @@ func (m *Memory) DeliveredFrom(origin packet.NodeID) uint64 {
 
 // PerGateway returns deliveries per gateway ID (load-balance metric, E8).
 func (m *Memory) PerGateway() map[packet.NodeID]uint64 {
-	m.Settle()
 	out := make(map[packet.NodeID]uint64, len(m.perGateway))
 	for k, v := range m.perGateway {
 		out[k] = v
@@ -520,7 +486,6 @@ func (m *Memory) PerGateway() map[packet.NodeID]uint64 {
 // GatewayLoadImbalance returns max/mean deliveries across gateways
 // (1 = perfectly balanced; 0 when no gateway delivered anything).
 func (m *Memory) GatewayLoadImbalance() float64 {
-	m.Settle()
 	if len(m.perGateway) == 0 {
 		return 0
 	}
@@ -565,13 +530,11 @@ func (m *Memory) ControlPackets() uint64 {
 // (pending/delivered keys) is also not merged — (origin, seq) pairs collide
 // across independent runs, so only aggregate counts are meaningful across
 // run boundaries. Histogram merging is commutative and associative, so any
-// fold order (parallel workers, spatial shards) yields bit-identical
-// aggregates.
+// fold order (parallel workers) yields bit-identical aggregates.
 func (m *Memory) Merge(o *Memory) {
 	if o == nil {
 		return
 	}
-	o.Settle()
 	m.Generated += o.Generated
 	m.Delivered += o.Delivered
 	m.Duplicates += o.Duplicates

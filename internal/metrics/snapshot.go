@@ -29,7 +29,7 @@ type Snapshot struct {
 	// Histograms holds every non-empty named distribution (delivery latency,
 	// failover latency, link retries, queue depth) keyed by HistID.Name().
 	// Bucket lists are exact state, so byte-equal JSON implies bit-equal
-	// histograms — the property the shard/worker determinism tests pin.
+	// histograms — the property the worker determinism tests pin.
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 

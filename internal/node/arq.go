@@ -202,7 +202,7 @@ func (d *Device) arqTransmitHead() {
 	if !d.Alive() || len(a.queue) == 0 {
 		return
 	}
-	a.timer = d.kern().After(radio.RetryBackoff(a.cfg.AckWait, a.attempt), a.timeoutFn)
+	a.timer = d.world.kernel.After(radio.RetryBackoff(a.cfg.AckWait, a.attempt), a.timeoutFn)
 }
 
 // arqPop retires the head frame and starts the next one.

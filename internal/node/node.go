@@ -13,7 +13,6 @@ package node
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"wmsn/internal/energy"
 	"wmsn/internal/geom"
@@ -120,7 +119,7 @@ type attachSnapshot struct {
 // Device.h in insertion order. Rows are never removed — handles stay dense
 // and stable for the life of the World — but the backing slices may be
 // reallocated by device additions, so pointers into them (Device.Battery)
-// must not be held across Add* calls. See DESIGN.md, "Sharded execution".
+// must not be held across Add* calls. See DESIGN.md, "SoA world core".
 type soa struct {
 	alive     []bool
 	promisc   []bool
@@ -130,10 +129,9 @@ type soa struct {
 	sentBytes []uint64
 	recv      []uint64
 	snaps     []attachSnapshot
-	lane      []int32 // owning shard lane; all zero when Shards <= 1
 }
 
-func (s *soa) grow(pos geom.Point, bat energy.Battery, lane int32) int32 {
+func (s *soa) grow(pos geom.Point, bat energy.Battery) int32 {
 	h := int32(len(s.alive))
 	s.alive = append(s.alive, true)
 	s.promisc = append(s.promisc, false)
@@ -143,7 +141,6 @@ func (s *soa) grow(pos geom.Point, bat energy.Battery, lane int32) int32 {
 	s.sentBytes = append(s.sentBytes, 0)
 	s.recv = append(s.recv, 0)
 	s.snaps = append(s.snaps, attachSnapshot{})
-	s.lane = append(s.lane, lane)
 	return h
 }
 
@@ -226,29 +223,17 @@ func (d *Device) Promiscuous() bool { return d.world.soa.promisc[d.h] }
 // dropped after the energy charge.
 func (d *Device) SetPromiscuous(on bool) { d.world.soa.promisc[d.h] = on }
 
-// kern returns the kernel this device's per-device work runs on: the
-// world's (only) kernel in sequential mode, the device's region lane when
-// the world is sharded. Receive handlers, stack timers armed through
-// Device.After, and ARQ timers all live on this kernel.
-func (d *Device) kern() *sim.Kernel {
-	if d.world.lanes == nil {
-		return d.world.kernel
-	}
-	return d.world.lanes[d.world.soa.lane[d.h]].k
-}
+// Now returns the current virtual time.
+func (d *Device) Now() sim.Time { return d.world.kernel.Now() }
 
-// Now returns the current virtual time as seen by this device.
-func (d *Device) Now() sim.Time { return d.kern().Now() }
-
-// After schedules fn on the kernel driving this device (the world kernel,
-// or the device's region lane when sharded).
+// After schedules fn on the world kernel, delay from now.
 func (d *Device) After(delay sim.Duration, fn func()) *sim.Timer {
-	return d.kern().After(delay, fn)
+	return d.world.kernel.After(delay, fn)
 }
 
-// Every schedules fn periodically on the kernel driving this device.
+// Every schedules fn periodically on the world kernel.
 func (d *Device) Every(interval sim.Duration, fn func()) *sim.Repeater {
-	return d.kern().Every(interval, fn)
+	return d.world.kernel.Every(interval, fn)
 }
 
 // Send transmits pkt on the sensor-layer medium, charging transmission
@@ -296,20 +281,18 @@ func (d *Device) transmitSensor(pkt *packet.Packet) bool {
 	return true
 }
 
-// SendRange transmits pkt on the sensor layer at a temporarily boosted (or
-// reduced) transmission range, charging energy for that range. LEACH-style
-// protocols use this for direct long-distance hops to cluster heads and
-// sinks.
+// SendRange transmits pkt on the sensor layer at a boosted (or reduced)
+// transmission range for this one frame, charging energy for that range.
+// The station's own range is unchanged, and a frame deferred by CSMA still
+// goes out at rangeM. LEACH-style protocols use this for direct
+// long-distance hops to cluster heads and sinks.
 func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 	w := d.world
 	if !w.soa.alive[d.h] || d.sensorSt == nil {
 		return false
 	}
-	orig := d.sensorSt.Range()
-	d.sensorSt.SetRange(rangeM)
 	cost := d.model.TxCost(pkt.SizeBits(), rangeM)
 	if !w.soa.batteries[d.h].DrawTx(cost) {
-		d.sensorSt.SetRange(orig)
 		w.kill(d, CauseBattery)
 		return false
 	}
@@ -321,8 +304,7 @@ func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 			Origin: pkt.Origin, Seq: pkt.Seq, Value: int64(pkt.TTL),
 		})
 	}
-	w.sensorMedium.Transmit(d.sensorSt, pkt)
-	d.sensorSt.SetRange(orig)
+	w.sensorMedium.TransmitRange(d.sensorSt, pkt, rangeM)
 	return true
 }
 
@@ -492,16 +474,12 @@ type World struct {
 	order   []packet.NodeID // insertion order, for deterministic iteration
 	soa     soa             // dense per-device hot state, indexed by Device.h
 
-	lanes []*lane     // region lanes when sharded (sharded.go); nil otherwise
-	shard *shardState // sharding bookkeeping; nil when Shards <= 1
-
 	deaths       []DeathRecord
 	firstDeath   sim.Time
 	sensorsAlive int
 	sensorsTotal int
 	onDeath      []func(DeathRecord)
 	obs          *obs.Bus
-	progress     *sim.Progress // sharded runs publish from the window loop
 }
 
 // NewWorld builds an empty world.
@@ -615,7 +593,7 @@ func (w *World) newDevice(id packet.NodeID, kind Kind, pos geom.Point, bat energ
 		model: w.cfg.EnergyModel,
 		stack: stack,
 	}
-	d.h = w.soa.grow(pos, bat, w.laneFor(pos))
+	d.h = w.soa.grow(pos, bat)
 	return d
 }
 
@@ -682,28 +660,16 @@ func (w *World) kill(d *Device, cause DeathCause) {
 	if d.sensorSt != nil {
 		snap.sensorRange = d.sensorSt.Range()
 		snap.sensorListening = d.sensorSt.Listening()
-		w.detachStation(w.sensorMedium, d.id)
+		w.sensorMedium.Detach(d.id)
 		d.sensorSt = nil
 	}
 	if d.meshSt != nil {
 		snap.meshRange = d.meshSt.Range()
-		w.detachStation(w.meshMedium, d.id)
+		w.meshMedium.Detach(d.id)
 		d.meshSt = nil
 	}
 	w.soa.snaps[d.h] = snap
 	rec := DeathRecord{ID: d.id, At: d.Now(), Cause: cause}
-	if w.inParallel() {
-		w.stageDeath(d, rec)
-		return
-	}
-	w.finishKill(d, rec)
-}
-
-// finishKill applies the world-level effects of a death: the record, the
-// lifetime gauges, the trace event and the registered callbacks. In a
-// sharded run these effects are deferred to the next window barrier so they
-// execute on one goroutine in a deterministic order.
-func (w *World) finishKill(d *Device, rec DeathRecord) {
 	w.deaths = append(w.deaths, rec)
 	if w.obs.Active() {
 		k := obs.NodeDeath
@@ -747,51 +713,11 @@ func (w *World) SensorEnergyStats() energy.Stats {
 	return energy.Summarize(bats)
 }
 
-// SetInterrupt installs an externally owned cancellation flag on every
-// kernel this world drives — the world kernel and, when sharded, each region
-// lane. The run loops poll it between event batches (sim.SetInterrupt) and
-// the sharded window loop additionally checks it at window barriers, so a
-// flag set from another goroutine (typically a context.AfterFunc) stops the
-// simulation within one batch. The world is left mid-run: callers that
-// cancel should discard its summary rather than report it.
-func (w *World) SetInterrupt(flag *atomic.Bool) {
-	w.kernel.SetInterrupt(flag)
-	for _, ln := range w.lanes {
-		ln.k.SetInterrupt(flag)
-	}
-}
-
-// SetProgress installs a live progress watermark. Sequentially the kernel
-// publishes from its run loop; sharded, the window coordinator publishes at
-// each barrier (lane kernels never get the probe — their event counts are
-// summed by the coordinator instead, since per-kernel publishes would
-// overwrite one another).
-func (w *World) SetProgress(p *sim.Progress) {
-	if w.lanes != nil {
-		w.progress = p
-		return
-	}
-	w.kernel.SetProgress(p)
-}
-
-// Run drives the simulation until the given horizon. With sharding enabled
-// (EnableSharding) the run is executed as a sequence of conservative time
-// windows over concurrent region workers; otherwise it is a plain
-// single-kernel run.
-func (w *World) Run(until sim.Time) uint64 {
-	if w.lanes != nil {
-		return w.runSharded(until)
-	}
-	return w.kernel.Run(until)
-}
+// Run drives the simulation until the given horizon.
+func (w *World) Run(until sim.Time) uint64 { return w.kernel.Run(until) }
 
 // RunUntilIdle drives the simulation until no events remain.
-func (w *World) RunUntilIdle() uint64 {
-	if w.lanes != nil {
-		return w.runShardedAll()
-	}
-	return w.kernel.RunAll()
-}
+func (w *World) RunUntilIdle() uint64 { return w.kernel.RunAll() }
 
 // MinSensorBatteryFraction returns the lowest remaining-battery fraction
 // among living sensors, 1 when none.

@@ -384,3 +384,34 @@ func TestMeshTrafficNotLinkTraced(t *testing.T) {
 		t.Fatalf("mesh broadcast emitted %d obs events, want 0", len(cap.Events))
 	}
 }
+
+// A SendRange frame deferred by CSMA must go out at the range it was sent
+// at, the range its energy was charged for, not at the station's own range
+// once the backoff ends.
+func TestSendRangeDeferredByCSMAKeepsRange(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		cfg := radio.SensorRadio()
+		cfg.CSMA = true
+		w := NewWorld(Config{Seed: 1, SensorRadio: cfg})
+		b := &echoStack{}
+		a := w.AddSensor(1, geom.Point{}, 10, 0, &echoStack{})
+		w.AddSensor(2, geom.Point{X: 30}, 10, 0, b)
+		c := w.AddSensor(3, geom.Point{X: -5}, 10, 0, &echoStack{})
+		if busy {
+			c.Send(bcast(3)) // occupies the channel A senses
+		}
+		if !a.SendRange(bcast(1), 50) {
+			t.Fatalf("busy=%v: SendRange failed", busy)
+		}
+		if got := a.SensorStation().Range(); got != 10 {
+			t.Fatalf("busy=%v: station range %v after SendRange, want 10", busy, got)
+		}
+		w.RunUntilIdle()
+		if busy && w.SensorMedium().Stats().Backoffs == 0 {
+			t.Fatal("A never backed off; the channel was not busy")
+		}
+		if len(b.got) != 1 || b.got[0].Origin != 1 {
+			t.Fatalf("busy=%v: B 30 m away got %d frames, want A's one frame sent at 50 m", busy, len(b.got))
+		}
+	}
+}

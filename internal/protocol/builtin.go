@@ -20,7 +20,7 @@ func init() {
 	Register(Builder{ID: MLR, Caps: Capabilities{MultiGateway: true, MobilityRounds: true, ShortcutAnswers: true}, Build: buildMLR})
 	Register(Builder{ID: SecMLR, Caps: Capabilities{MultiGateway: true, MobilityRounds: true, Security: true}, Build: buildSecMLR})
 	Register(Builder{ID: Flooding, Caps: Capabilities{MultiGateway: true}, Build: buildFlooding})
-	Register(Builder{ID: Gossiping, Caps: Capabilities{MultiGateway: true, HandlerRand: true}, Build: buildGossiping})
+	Register(Builder{ID: Gossiping, Caps: Capabilities{MultiGateway: true}, Build: buildGossiping})
 	Register(Builder{ID: Direct, Caps: Capabilities{MultiGateway: true}, Build: buildDirect})
 	Register(Builder{ID: MCFA, Caps: Capabilities{}, Build: buildMCFA})
 	Register(Builder{ID: LEACH, Caps: Capabilities{}, Build: buildLEACH})

@@ -57,10 +57,6 @@ type Capabilities struct {
 	// ShortcutAnswers: nodes with cached routes answer other nodes' RREQs
 	// (SPR/MLR step 3.1, Property 1).
 	ShortcutAnswers bool
-	// HandlerRand: receive handlers draw from the world's shared RNG (e.g.
-	// gossiping's random next-hop pick). Such protocols cannot run under
-	// sharded execution, where handlers fire on concurrent region workers.
-	HandlerRand bool
 }
 
 // Originator is any sensor stack that can produce a reading.

@@ -103,7 +103,7 @@ func (c *cacheModel) check(what string) {
 		s := c.m.stations[id]
 		want := stationIDs(c.m.InRange(s))
 		for ask := 0; ask < 3; ask++ {
-			if got := stationIDs(c.m.receivers(s, &scratch)); !slices.Equal(got, want) {
+			if got := stationIDs(c.m.receivers(s, s.rangeM, &scratch)); !slices.Equal(got, want) {
 				c.t.Fatalf("%s: receivers(%v) ask %d = %v, InRange = %v", what, id, ask, got, want)
 			}
 		}

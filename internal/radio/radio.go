@@ -83,10 +83,7 @@ type Stats struct {
 // Station is a node's attachment to a medium. The field order packs it
 // into 128 bytes: scale runs attach 100k stations.
 type Station struct {
-	id packet.NodeID
-	// lane is the owning region when the medium is sharded (sharded.go);
-	// always 0 otherwise. Immutable during parallel windows.
-	lane      int32
+	id        packet.NodeID
 	pos       geom.Point
 	rangeM    float64
 	handler   func(*packet.Packet)
@@ -99,7 +96,7 @@ type Station struct {
 	pending []*delivery
 	// rx caches the ID-sorted stations within range once rxFilled is set.
 	// rxEpoch and rxRange are the key it was (or is about to be) filled
-	// under: the medium's topology epoch and this station's range. See
+	// under: the medium's topology epoch and the transmission range. See
 	// Medium.receivers.
 	rx      []*Station
 	rxEpoch uint64
@@ -189,8 +186,7 @@ type Medium struct {
 	stats    Stats
 	active   []activeTx // in-flight transmissions (CSMA only)
 	// epoch counts topology changes (Attach, Detach, Move); it keys every
-	// station's receiver cache. It changes only where the grid does, so on
-	// a sharded medium only at barriers and in global phases.
+	// station's receiver cache. It changes only where the grid does.
 	epoch uint64
 
 	// Hot-path scratch: delivery structs and batches are pooled on free
@@ -202,12 +198,6 @@ type Medium struct {
 	deliverFn      func(any)
 	deliverBatchFn func(any)
 	rxScratch      []*Station
-
-	// Sharded operation (sharded.go): one laneCtx per spatial region and
-	// the station-to-lane assignment rule. Nil in sequential mode, where
-	// none of the per-lane paths execute.
-	lanes  []*laneCtx
-	laneOf func(packet.NodeID, geom.Point) int32
 }
 
 // New creates a medium driven by kernel k.
@@ -263,14 +253,8 @@ func (m *Medium) putDelivery(d *delivery) {
 	m.freeDel = append(m.freeDel, d)
 }
 
-// Stats returns a snapshot of medium counters. On a sharded medium the
-// per-lane counters are folded in, in lane order.
-func (m *Medium) Stats() Stats {
-	if m.lanes != nil {
-		return m.mergeLaneStats(m.stats)
-	}
-	return m.stats
-}
+// Stats returns a snapshot of medium counters.
+func (m *Medium) Stats() Stats { return m.stats }
 
 // LossRate returns the medium-wide per-link loss probability.
 func (m *Medium) LossRate() float64 { return m.cfg.LossRate }
@@ -322,9 +306,6 @@ func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handle
 		panic(fmt.Sprintf("radio: station %v attached twice", id))
 	}
 	s := &Station{id: id, pos: pos, rangeM: rangeM, handler: handler, listening: true, medium: m}
-	if m.laneOf != nil {
-		s.lane = m.laneOf(id, pos)
-	}
 	m.stations[id] = s
 	m.grid.Insert(s, pos)
 	m.epoch++
@@ -356,42 +337,45 @@ func (m *Medium) reindex(s *Station, p geom.Point) {
 // InRange returns the stations within sender's range, excluding the sender
 // itself, in deterministic (ID-sorted) order.
 func (m *Medium) InRange(sender *Station) []*Station {
-	return m.inRangeInto(sender, nil)
+	if sender == nil {
+		return nil
+	}
+	return m.inRangeInto(sender, sender.rangeM, nil)
 }
 
-// inRangeInto appends the in-range stations to out (the hot path passes a
-// reusable scratch buffer; InRange passes nil for a fresh slice). Range
-// changes need no reindexing: the station's current range bounds the grid
-// query window at lookup time.
-func (m *Medium) inRangeInto(sender *Station, out []*Station) []*Station {
-	if sender == nil || sender.rangeM <= 0 {
+// inRangeInto appends the stations within rangeM of sender to out (the hot
+// path passes a reusable scratch buffer; InRange passes nil for a fresh
+// slice). Range changes need no reindexing: the range bounds the grid query
+// window at lookup time.
+func (m *Medium) inRangeInto(sender *Station, rangeM float64, out []*Station) []*Station {
+	if rangeM <= 0 {
 		return out
 	}
 	base := len(out)
-	out = m.grid.AppendWithin(out, sender.pos, sender.rangeM, sender)
+	out = m.grid.AppendWithin(out, sender.pos, rangeM, sender)
 	sortStations(out[base:])
 	return out
 }
 
-// receivers returns from's ID-sorted in-range stations for a transmission.
-// While the medium's epoch and from's range match from's cache key, the
-// cached list is returned; otherwise the key is reset and the list is
-// computed into *scratch by inRangeInto. The cache is filled only at the
-// second transmission under one key, so a station that transmits once per
-// topology allocates nothing for it; the fill copies the scratch list into
-// the cache's backing array, which grows at most once per fill, to fit.
-// SetRange changes no epoch: only a sender's own range decides who hears
-// it, and that range is part of the key. Listening, loss and handler
-// checks stay with the caller, per transmission. The result is read-only
-// and valid until the next call for from or with scratch.
-func (m *Medium) receivers(from *Station, scratch *[]*Station) []*Station {
-	if from.rxEpoch != m.epoch || from.rxRange != from.rangeM {
-		from.rxEpoch, from.rxRange, from.rxFilled = m.epoch, from.rangeM, false
-		*scratch = m.inRangeInto(from, (*scratch)[:0])
+// receivers returns the ID-sorted stations within rangeM of from, for a
+// transmission at that range. While the medium's epoch and rangeM match
+// from's cache key, the cached list is returned; otherwise the key is reset
+// and the list is computed into *scratch by inRangeInto. The cache is
+// filled only at the second transmission under one key, so a station that
+// transmits once per topology allocates nothing for it; the fill copies the
+// scratch list into the cache's backing array, which grows at most once per
+// fill, to fit. SetRange changes no epoch: only a sender's own range
+// decides who hears it, and that range is part of the key. Listening, loss
+// and handler checks stay with the caller, per transmission. The result is
+// read-only and valid until the next call for from or with scratch.
+func (m *Medium) receivers(from *Station, rangeM float64, scratch *[]*Station) []*Station {
+	if from.rxEpoch != m.epoch || from.rxRange != rangeM {
+		from.rxEpoch, from.rxRange, from.rxFilled = m.epoch, rangeM, false
+		*scratch = m.inRangeInto(from, rangeM, (*scratch)[:0])
 		return *scratch
 	}
 	if !from.rxFilled {
-		*scratch = m.inRangeInto(from, (*scratch)[:0])
+		*scratch = m.inRangeInto(from, rangeM, (*scratch)[:0])
 		from.rx = append(from.rx[:0], *scratch...)
 		from.rxFilled = true
 	}
@@ -434,19 +418,25 @@ func sortStations(ss []*Station) {
 //
 // With CSMA enabled, a busy channel defers the transmission by a random
 // backoff (retried up to MaxBackoffs times before the packet is abandoned).
+// A deferred frame still goes out at the range it was submitted at.
 func (m *Medium) Transmit(from *Station, pkt *packet.Packet) {
+	if from != nil {
+		m.TransmitRange(from, pkt, from.rangeM)
+	}
+}
+
+// TransmitRange is Transmit at rangeM instead of the station's own range,
+// for one frame (LEACH-style direct hops at boosted power). The station's
+// range is left as it is.
+func (m *Medium) TransmitRange(from *Station, pkt *packet.Packet, rangeM float64) {
 	if from == nil {
 		return
 	}
-	if m.lanes != nil {
-		m.transmitSharded(from, pkt)
-		return
-	}
 	if m.cfg.CSMA {
-		m.transmitCSMA(from, pkt, 0)
+		m.transmitCSMA(from, pkt, rangeM, 0)
 		return
 	}
-	m.transmitNow(from, pkt)
+	m.transmitNow(from, pkt, rangeM)
 }
 
 // carrierBusy reports whether st can hear an in-flight transmission.
@@ -467,7 +457,7 @@ func (m *Medium) carrierBusy(st *Station) bool {
 	return busy
 }
 
-func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
+func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, rangeM float64, attempt int) {
 	if from.handler == nil && m.stations[from.id] == nil {
 		return // detached while backing off
 	}
@@ -488,13 +478,13 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
 		m.stats.Backoffs++
 		m.report(metrics.RadioBackoffs, 1)
 		delay := 1 + sim.Duration(m.k.Rand().Int63n(int64(window)))
-		m.k.After(delay, func() { m.transmitCSMA(from, pkt, attempt+1) })
+		m.k.After(delay, func() { m.transmitCSMA(from, pkt, rangeM, attempt+1) })
 		return
 	}
-	m.transmitNow(from, pkt)
+	m.transmitNow(from, pkt, rangeM)
 }
 
-func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
+func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) {
 	m.stats.Transmissions++
 	m.stats.BytesOnAir += uint64(pkt.Size())
 	m.report(metrics.RadioTransmissions, 1)
@@ -503,14 +493,14 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 	start := m.k.Now()
 	end := start + airtime + m.cfg.PropDelay
 	if m.cfg.CSMA {
-		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
+		m.active = append(m.active, activeTx{pos: from.pos, rangeM: rangeM, end: start + airtime})
 	}
 	// One snapshot per transmission, shared read-only by every listener.
 	// Like the batch, it is made at the first reception that survives the
 	// loss draws, so a transmission nobody hears costs no clone.
 	var snap *packet.Packet
 	var batch *deliveryBatch
-	for _, st := range m.receivers(from, &m.rxScratch) {
+	for _, st := range m.receivers(from, rangeM, &m.rxScratch) {
 		if !st.listening {
 			continue
 		}

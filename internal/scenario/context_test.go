@@ -74,24 +74,6 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-func TestRunContextCanceledSharded(t *testing.T) {
-	cfg := longCfg(4)
-	cfg.Shards = 2
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := RunContext(ctx, cfg)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("canceled sharded run returned after %v", time.Since(start))
-	}
-}
-
 func TestRunContextInvalidConfigIsNotCanceled(t *testing.T) {
 	_, err := RunContext(context.Background(), Config{NumSensors: -1})
 	if err == nil || errors.Is(err, ErrCanceled) {
@@ -217,8 +199,8 @@ func TestRunManyContextCanceledMidSweep(t *testing.T) {
 	}
 }
 
-// Canceled runs must not leak goroutines: the AfterFunc watcher is stopped,
-// pool workers exit, sharded lane workers are joined.
+// Canceled runs must not leak goroutines: the AfterFunc watcher is stopped
+// and pool workers exit.
 func TestCanceledRunsLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -231,12 +213,6 @@ func TestCanceledRunsLeakNoGoroutines(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	_ = RunEach(ctx, 4, []Config{longCfg(300), longCfg(301), longCfg(302), longCfg(303)}, nil)
-	// Sharded cancel joins its lane workers on the way out.
-	sh := longCfg(310)
-	sh.Shards = 2
-	shCtx, shCancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer shCancel()
-	_, _ = RunContext(shCtx, sh)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

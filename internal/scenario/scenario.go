@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"wmsn/internal/baseline"
 	"wmsn/internal/core"
@@ -84,19 +83,6 @@ type Config struct {
 	// (lifetime experiments).
 	StopAtFirstDeath bool
 
-	// Shards splits the field into that many vertical strips, each simulated
-	// by its own worker under conservative time-window synchronization
-	// (see internal/node EnableSharding). 0 or 1 selects the sequential
-	// engine, whose results are byte-identical to previous releases. A
-	// sharded run is deterministic for a fixed (Seed, Shards) pair and, for
-	// the loss-free default SPR/MLR parameterizations, produces the same
-	// aggregate delivery/latency/energy summary as the sequential engine.
-	// Incompatible with CSMA, Collisions, Obs, positive FloodJitter, and
-	// protocols whose handlers draw shared randomness (Validate enforces
-	// this). With StopAtFirstDeath the run ends at the enclosing window
-	// boundary rather than the exact death event.
-	Shards int
-
 	// Energy / battery.
 	EnergyModel   energy.Model
 	SensorBattery float64
@@ -157,12 +143,11 @@ type Config struct {
 
 	// Progress, when non-nil, receives a live watermark while the run
 	// executes: sim-time and events fired published by the kernel every
-	// event batch (the sharded window coordinator at each barrier), fresh
-	// deliveries counted by the metrics sink, and Done flipped when
-	// RunTraffic returns. Any goroutine may Progress.Snapshot() at any
-	// time. Each run must own its probe — see ProgressBoard for multi-run
-	// jobs. The probe only ever reads watermark state, so a watched run's
-	// Result is identical to an unwatched one.
+	// event batch, fresh deliveries counted by the metrics sink, and Done
+	// flipped when RunTraffic returns. Any goroutine may
+	// Progress.Snapshot() at any time. Each run must own its probe — see
+	// ProgressBoard for multi-run jobs. The probe only ever reads watermark
+	// state, so a watched run's Result is identical to an unwatched one.
 	Progress *sim.Progress
 }
 
@@ -296,26 +281,6 @@ func (cfg Config) Validate() error {
 	if c.TEEN != nil && c.TEEN.Field == nil {
 		fail("TEEN reporting configured with a nil Field — nothing to sense")
 	}
-	if c.Shards < 0 {
-		fail("Shards %d is negative — 0 or 1 selects the sequential engine", c.Shards)
-	}
-	if c.Shards > 1 {
-		if c.CSMA {
-			fail("Shards %d with CSMA — carrier sensing needs a global channel view", c.Shards)
-		}
-		if c.Collisions {
-			fail("Shards %d with Collisions — the collision model needs a global channel view", c.Shards)
-		}
-		if c.Obs != nil {
-			fail("Shards %d with Obs — the event bus is single-goroutine; trace sequential runs", c.Shards)
-		}
-		if known && b.Caps.HandlerRand {
-			fail("Shards %d with protocol %q — its receive handlers draw shared randomness", c.Shards, c.Protocol)
-		}
-		if c.Params != nil && c.Params.FloodJitter > 0 {
-			fail("Shards %d with FloodJitter %v — rebroadcast jitter draws shared randomness in handlers", c.Shards, c.Params.FloodJitter)
-		}
-	}
 	if p := c.Params; p != nil {
 		if p.LinkRetries < 0 {
 			fail("Params.LinkRetries %d is negative — 0 disables link ARQ", p.LinkRetries)
@@ -347,7 +312,6 @@ type Net struct {
 	LEACHRounds   *baseline.LEACHRounds
 	PegasisRounds *baseline.PegasisRounds
 
-	trafficMu   sync.Mutex // trafficStop appends happen on region workers
 	trafficStop []*sim.Repeater
 	teens       []*sensing.TEEN
 	injector    *fault.Injector
@@ -412,12 +376,8 @@ func buildE(cfg Config, ar *runArena) (*Net, error) {
 		wcfg.MeshPool = &ar.mesh
 	}
 	w := node.NewWorld(wcfg)
-	if cfg.Shards > 1 {
-		w.EnableSharding(cfg.Shards, region)
-		m.EnableConcurrent()
-	}
 	if cfg.Progress != nil {
-		w.SetProgress(cfg.Progress)
+		w.Kernel().SetProgress(cfg.Progress)
 		m.SetProgress(cfg.Progress)
 	}
 	n := &Net{
@@ -548,30 +508,11 @@ func (n *Net) StartTraffic() {
 				o.OriginateData(fmt.Appendf(nil, "v=%.2f", v))
 			}
 		}
-		// The phase draw stays on the world kernel's RNG — StartTraffic runs
-		// sequentially, so the stream is identical whatever Shards is. The
-		// timers land on the device's own kernel (the world kernel when
-		// sequential, its region lane when sharded), so each sensor's
-		// reporting runs on the worker that owns it.
 		phase := cfg.Warmup + sim.Duration(k.Rand().Int63n(int64(cfg.ReportInterval)))
-		dev := n.World.Device(id)
-		start := func() {
+		k.After(phase, func() {
 			report()
-			var rep *sim.Repeater
-			if dev != nil {
-				rep = dev.Every(cfg.ReportInterval, report)
-			} else {
-				rep = k.Every(cfg.ReportInterval, report)
-			}
-			n.trafficMu.Lock()
-			n.trafficStop = append(n.trafficStop, rep)
-			n.trafficMu.Unlock()
-		}
-		if dev != nil {
-			dev.After(phase, start)
-		} else {
-			k.After(phase, start)
-		}
+			n.trafficStop = append(n.trafficStop, k.Every(cfg.ReportInterval, report))
+		})
 	}
 }
 
@@ -587,8 +528,6 @@ func (n *Net) TEENStats() (samples, reports uint64) {
 
 // StopTraffic cancels the reporting workload.
 func (n *Net) StopTraffic() {
-	n.trafficMu.Lock()
-	defer n.trafficMu.Unlock()
 	for _, r := range n.trafficStop {
 		r.Stop()
 	}
@@ -680,7 +619,6 @@ func (n *Net) RunTraffic() Result {
 
 // Summarize captures the current state as a Result.
 func (n *Net) Summarize() Result {
-	n.Metrics.Settle() // resolve sharded delivery candidates before field reads
 	var rel *fault.Reliability
 	if n.injector != nil {
 		rel = n.injector.Finish()

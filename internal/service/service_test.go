@@ -191,7 +191,7 @@ func TestSubmitValidationRejects(t *testing.T) {
 		{"too many seeds", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"seeds":9}`, "run limit"},
 		{"too many nodes", `{"run":{"protocol":"spr","num_sensors":500,"run_for_s":1}}`, "nodes exceeds"},
 		{"horizon", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":90000}}`, "horizon"},
-		{"trace with shards", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"shards":2},"trace":true}`, "incompatible with shards"},
+		{"shards", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"shards":2}}`, "shards"},
 		{"bad fault kind", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"faults":[{"kind":"meteor","at_s":1}]}}`, "unknown kind"},
 		{"negative workers", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"workers":-1}`, "negative"},
 		{"deadline too long", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"deadline_s":100000}`, "deadline_s"},
@@ -430,7 +430,7 @@ func TestDetachedStreamDisconnectKeepsJobRunning(t *testing.T) {
 
 func TestHealthzStatsAndProtocols(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, health := getJSON[map[string]any](t, ts.URL + "/healthz")
+	code, health := getJSON[map[string]any](t, ts.URL+"/healthz")
 	if code != http.StatusOK || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
 	}

@@ -43,9 +43,6 @@ type RunSpec struct {
 	RunForS         float64 `json:"run_for_s,omitempty"`
 
 	StopAtFirstDeath bool `json:"stop_at_first_death,omitempty"`
-	// Shards selects the region-sharded engine (scenario.Config.Shards);
-	// incompatible with tracing.
-	Shards int `json:"shards,omitempty"`
 
 	LossRate   float64 `json:"loss_rate,omitempty"`
 	Collisions bool    `json:"collisions,omitempty"`
@@ -93,7 +90,6 @@ type RunRequest struct {
 	Workers int `json:"workers,omitempty"`
 
 	// Trace streams every run's obs events as {"type":"trace"} lines.
-	// Incompatible with sharded specs (the event bus is single-goroutine).
 	Trace bool `json:"trace,omitempty"`
 	// SampleS is the gauge-sampling interval in virtual seconds for traced
 	// runs (obs.Bus.Sample); 0 disables gauge samples.
@@ -169,24 +165,23 @@ func secs(s float64) sim.Duration { return sim.Duration(s * float64(sim.Second))
 // config converts the wire spec into a scenario.Config.
 func (s RunSpec) config() (scenario.Config, error) {
 	cfg := scenario.Config{
-		Seed:             s.Seed,
-		Protocol:         protocol.ID(s.Protocol),
-		NumSensors:       s.NumSensors,
-		Side:             s.Side,
-		SensorRange:      s.SensorRange,
-		NumGateways:      s.NumGateways,
-		Rounds:           s.Rounds,
-		RoundLen:         secs(s.RoundLenS),
-		ReportInterval:   secs(s.ReportIntervalS),
-		PayloadSize:      s.PayloadSize,
-		Warmup:           secs(s.WarmupS),
-		RunFor:           secs(s.RunForS),
-		StopAtFirstDeath: s.StopAtFirstDeath,
-		Shards:           s.Shards,
-		LossRate:         s.LossRate,
-		Collisions:       s.Collisions,
-		CSMA:             s.CSMA,
-		LEACHProb:        s.LEACHProb,
+		Seed:              s.Seed,
+		Protocol:          protocol.ID(s.Protocol),
+		NumSensors:        s.NumSensors,
+		Side:              s.Side,
+		SensorRange:       s.SensorRange,
+		NumGateways:       s.NumGateways,
+		Rounds:            s.Rounds,
+		RoundLen:          secs(s.RoundLenS),
+		ReportInterval:    secs(s.ReportIntervalS),
+		PayloadSize:       s.PayloadSize,
+		Warmup:            secs(s.WarmupS),
+		RunFor:            secs(s.RunForS),
+		StopAtFirstDeath:  s.StopAtFirstDeath,
+		LossRate:          s.LossRate,
+		Collisions:        s.Collisions,
+		CSMA:              s.CSMA,
+		LEACHProb:         s.LEACHProb,
 		NoShortcutAnswers: s.NoShortcutAnswers,
 	}
 	if s.LinkRetries > 0 {
@@ -283,9 +278,6 @@ func (r RunRequest) expand(l Limits) (jobOptions, error) {
 		}
 		if full.RunFor > l.MaxHorizon {
 			errs = append(errs, fmt.Errorf("run %d: horizon %v exceeds the per-run limit %v", i, full.RunFor, l.MaxHorizon))
-		}
-		if (o.trace || o.series > 0) && full.Shards > 1 {
-			errs = append(errs, fmt.Errorf("run %d: tracing is incompatible with shards %d (the event bus is single-goroutine)", i, full.Shards))
 		}
 		o.cfgs = append(o.cfgs, cfg)
 	}

@@ -9,9 +9,8 @@ import (
 // event executes.
 func TestInterruptPreSetStopsImmediately(t *testing.T) {
 	for name, run := range map[string]func(*Kernel) uint64{
-		"Run":       func(k *Kernel) uint64 { return k.Run(Second) },
-		"RunAll":    func(k *Kernel) uint64 { return k.RunAll() },
-		"RunBefore": func(k *Kernel) uint64 { return k.RunBefore(Second) },
+		"Run":    func(k *Kernel) uint64 { return k.Run(Second) },
+		"RunAll": func(k *Kernel) uint64 { return k.RunAll() },
 	} {
 		k := NewKernel(1)
 		fired := 0

@@ -106,9 +106,9 @@ type Kernel struct {
 
 	// interrupt, when non-nil, is an externally owned cancellation flag
 	// polled between event batches (every interruptStride events) by
-	// Run/RunAll/RunBefore. It is the only concurrency-safe way to stop a
-	// running kernel from another goroutine: Stop flips an unsynchronized
-	// field and may only be called from inside an event callback.
+	// Run/RunAll. It is the only concurrency-safe way to stop a running
+	// kernel from another goroutine: Stop flips an unsynchronized field and
+	// may only be called from inside an event callback.
 	interrupt *atomic.Bool
 
 	// progress, when non-nil, receives a (sim-time, events-fired) watermark
@@ -359,13 +359,6 @@ func (k *Kernel) SetInterrupt(flag *atomic.Bool) { k.interrupt = flag }
 // one event batch stale. Like SetInterrupt, a nil probe leaves the hot
 // loop's behaviour — and its allocation profile — unchanged.
 func (k *Kernel) SetProgress(p *Progress) { k.progress = p }
-
-// InterruptRequested reports whether an installed interrupt flag is set.
-// Coordinating loops that drive the kernel through Step/RunBefore directly
-// (the sharded window loop) check it between batches.
-func (k *Kernel) InterruptRequested() bool {
-	return k.interrupt != nil && k.interrupt.Load()
-}
 
 // Stopped reports whether Stop has been called since the last Run/RunAll
 // began. The radio medium checks it between batched deliveries so a Stop
