@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"wmsn/internal/attack"
+	"wmsn/internal/core"
 	"wmsn/internal/fault"
 	"wmsn/internal/obs"
 	"wmsn/internal/protocol"
@@ -34,7 +35,10 @@ type digestRun struct {
 // rounds so gateways move (with and without that fault plan), LEACH with
 // short rounds so stations switch transmission range, every protocol on the
 // same field clean and at 20% loss with link ARQ, and every attack kind at
-// a 10% compromise on SPR, MLR and SecMLR.
+// a 10% compromise on SPR, MLR and SecMLR. The rest reach routing paths
+// none of those set: MLR and SecMLR gateways moving on a clean field, link
+// ARQ with liveness adverts off (E14's setting), the Property-1 ablation,
+// MLR load shedding, and jittered floods on a lossy colliding medium.
 func digestMatrix() []digestRun {
 	var runs []digestRun
 	for _, seed := range []int64{5, 6} {
@@ -70,7 +74,45 @@ func digestMatrix() []digestRun {
 			runs = append(runs, digestRun{fmt.Sprintf("attack/%s/%s/seed5", name, p), cfg})
 		}
 	}
+	for _, seed := range []int64{5, 6} {
+		for _, p := range []Protocol{MLR, SecMLR} {
+			cfg := digestCleanConfig(seed, p)
+			cfg.RoundLen = 20 * sim.Second
+			runs = append(runs, digestRun{fmt.Sprintf("rounds-clean/%s/seed%d", p, seed), cfg})
+		}
+		for _, p := range []Protocol{SPR, MLR, SecMLR} {
+			cfg := digestCleanConfig(seed, p)
+			cfg.LossRate = 0.2
+			cfg.Params = digestParams(func(p *core.Params) {
+				p.LinkRetries = 4
+				p.ForwardQueueLimit = 32
+			})
+			runs = append(runs, digestRun{fmt.Sprintf("lossy-arq-noadvert/%s/seed%d", p, seed), cfg})
+		}
+	}
+	for _, p := range []Protocol{SPR, MLR} {
+		cfg := digestCleanConfig(5, p)
+		cfg.NoShortcutAnswers = true
+		runs = append(runs, digestRun{fmt.Sprintf("no-shortcut/%s/seed5", p), cfg})
+	}
+	overload := digestCleanConfig(5, MLR)
+	overload.Params = digestParams(func(p *core.Params) { p.OverloadThreshold = 10 })
+	runs = append(runs, digestRun{fmt.Sprintf("overload/%s/seed5", MLR), overload})
+	for _, p := range []Protocol{SPR, MLR, SecMLR} {
+		cfg := digestCleanConfig(5, p)
+		cfg.LossRate = 0.1
+		cfg.Collisions = true
+		cfg.Params = digestParams(func(p *core.Params) { p.FloodJitter = 20 * sim.Millisecond })
+		runs = append(runs, digestRun{fmt.Sprintf("jitter/%s/seed5", p), cfg})
+	}
 	return runs
+}
+
+// digestParams returns the default protocol parameters with set applied.
+func digestParams(set func(*core.Params)) *core.Params {
+	p := core.DefaultParams()
+	set(&p)
+	return &p
 }
 
 // digestCleanConfig is arqChaosConfig's field with no loss, no fault plan
