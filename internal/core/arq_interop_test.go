@@ -149,3 +149,53 @@ func TestMLRARQRedirectsAroundFailedForwarder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSPRARQRediscoveryCreditsRerouteWithoutAdverts loses SPR's only cached
+// route to an ARQ verdict with liveness adverts off (E14's setting). With
+// no alternative cached, the sensor rediscovers at once, and the discovery
+// that installs the new route must credit the reroute and clear the pending
+// state, so a second loss later rediscovers and is credited too.
+func TestSPRARQRediscoveryCreditsRerouteWithoutAdverts(t *testing.T) {
+	p := DefaultParams()
+	p.LinkRetries = 2
+	p.LinkAckWait = 50 * sim.Millisecond
+	w, m, st := arqSprWorld(t, p)
+
+	st.OriginateData([]byte("warm"))
+	w.Run(5 * sim.Second)
+	if best := st.BestRoute(); best == nil || best.Gateway != 1000 {
+		t.Fatalf("best route %+v, want gateway 1000 (tie-break)", best)
+	}
+	if n := len(st.Table()); n != 1 {
+		t.Fatalf("table holds %d routes, want only the chosen one with adverts off", n)
+	}
+
+	w.Device(1000).Fail()
+	st.OriginateData([]byte("lost with the hop"))
+	w.Run(10 * sim.Second)
+	if m.Reroutes != 1 {
+		t.Fatalf("Reroutes = %d after the first loss, want 1 credited by the rediscovery", m.Reroutes)
+	}
+	if r := st.BestRoute(); r == nil || r.Gateway != 1001 {
+		t.Fatalf("best route after rediscovery %+v, want gateway 1001", r)
+	}
+
+	w.Device(1000).Recover()
+	w.Device(1001).Fail()
+	st.OriginateData([]byte("lost with the second hop"))
+	w.Run(15 * sim.Second)
+	if m.Reroutes != 2 {
+		t.Fatalf("Reroutes = %d after the second loss, want 2 (pending reroute never cleared?)", m.Reroutes)
+	}
+	if r := st.BestRoute(); r == nil || r.Gateway != 1000 {
+		t.Fatalf("best route after the second rediscovery %+v, want gateway 1000", r)
+	}
+	st.OriginateData([]byte("after"))
+	w.Run(20 * sim.Second)
+	if m.Delivered != 2 {
+		t.Fatalf("delivered %d, want 2 (warmup and the reading after both failovers)", m.Delivered)
+	}
+	if err := m.CheckLinkConservation(w.LinkQueueDepth()); err != nil {
+		t.Fatal(err)
+	}
+}

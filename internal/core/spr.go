@@ -156,13 +156,16 @@ func (s *SPRSensor) decide() {
 			}
 			s.lastHeard[r.Gateway] = now
 		}
-		if s.rerouting {
-			s.rerouting = false
-			s.Metrics.Inc(metrics.Reroutes)
-			s.Metrics.Add(metrics.FailoverLatencyUs, uint64(now-s.lostAt))
-			s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(now-s.lostAt))
-			traceReroute(s.dev, best.Gateway, "rediscovery", now-s.lostAt)
-		}
+	}
+	if s.rerouting {
+		// Either detector (advert expiry or, with adverts off, ARQ
+		// exhaustion) left a pending failover; this discovery completes it.
+		now := s.dev.Now()
+		s.rerouting = false
+		s.Metrics.Inc(metrics.Reroutes)
+		s.Metrics.Add(metrics.FailoverLatencyUs, uint64(now-s.lostAt))
+		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(now-s.lostAt))
+		traceReroute(s.dev, best.Gateway, "rediscovery", now-s.lostAt)
 	}
 	for _, p := range s.queue {
 		s.sendData(p)
