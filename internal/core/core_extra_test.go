@@ -136,7 +136,7 @@ func TestSecMLRSensorAccessors(t *testing.T) {
 	if s.ForwardingTableSize() != 0 {
 		t.Fatal("fresh sensor has forwarding entries")
 	}
-	if s.missingVerified() != 0 {
+	if s.active.missing(s.verified) != 0 {
 		t.Fatal("no active places yet")
 	}
 	if s.BestRoute() != nil {

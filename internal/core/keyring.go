@@ -1,6 +1,7 @@
 package core
 
 import (
+	"wmsn/internal/metrics"
 	"wmsn/internal/packet"
 	"wmsn/internal/wsncrypto"
 )
@@ -80,4 +81,62 @@ func ProvisionKeys(master []byte, sensorIDs, gatewayIDs []packet.NodeID, teslaIn
 		sensors[s] = sk
 	}
 	return sensors, gateways
+}
+
+// pairwise is one end's state on its pairwise-key channels (§6.2): the
+// outgoing freshness counter and the incoming replay guard per peer.
+type pairwise struct {
+	txCtr  map[packet.NodeID]uint64
+	guards map[packet.NodeID]*wsncrypto.ReplayGuard
+}
+
+func newPairwise() pairwise {
+	return pairwise{
+		txCtr:  make(map[packet.NodeID]uint64),
+		guards: make(map[packet.NodeID]*wsncrypto.ReplayGuard),
+	}
+}
+
+// seal protects body for peer under key: the next freshness counter C,
+// then {body}<K,C>, then MAC(K, C|cipher).
+func (c *pairwise) seal(peer packet.NodeID, key wsncrypto.Key, body []byte) *packet.SecEnvelope {
+	c.txCtr[peer]++
+	ctr := c.txCtr[peer]
+	cipher := wsncrypto.Encrypt(key, ctr, body)
+	return &packet.SecEnvelope{Counter: ctr, Cipher: cipher, MAC: wsncrypto.Sum(key, ctr, cipher)}
+}
+
+// open accepts a sealed envelope from peer — MAC first, then the freshness
+// counter — and decrypts it. known says whether key is a provisioned key
+// for peer. Rejections are counted in m as verify and fresh do.
+func (c *pairwise) open(m metrics.Sink, peer packet.NodeID, key wsncrypto.Key, known bool, sec *packet.SecEnvelope) ([]byte, bool) {
+	if !c.verify(m, key, known, sec) || !c.fresh(m, peer, sec.Counter) {
+		return nil, false
+	}
+	return wsncrypto.Decrypt(key, sec.Counter, sec.Cipher), true
+}
+
+// verify checks sec's MAC under key, counting RejectedMAC when the key is
+// unknown, the envelope is missing or the MAC is wrong.
+func (c *pairwise) verify(m metrics.Sink, key wsncrypto.Key, known bool, sec *packet.SecEnvelope) bool {
+	if known && sec != nil && wsncrypto.Verify(key, sec.Counter, sec.Cipher, sec.MAC) {
+		return true
+	}
+	m.Inc(metrics.RejectedMAC)
+	return false
+}
+
+// fresh accepts counter from peer unless it was seen before, counting
+// RejectedReplay when it was.
+func (c *pairwise) fresh(m metrics.Sink, peer packet.NodeID, counter uint64) bool {
+	g, ok := c.guards[peer]
+	if !ok {
+		g = &wsncrypto.ReplayGuard{}
+		c.guards[peer] = g
+	}
+	if g.Accept(counter) {
+		return true
+	}
+	m.Inc(metrics.RejectedReplay)
+	return false
 }

@@ -94,23 +94,61 @@ func parsePlacePayload(b []byte) (place int, rest []byte, ok bool) {
 	return int(binary.BigEndian.Uint16(b)), b[2:], true
 }
 
+// places maps feasible places to the gateway an MLR or SecMLR sensor
+// believes deployed there this round.
+type places map[int]packet.NodeID
+
+// sorted returns the active places in ascending order.
+func (a places) sorted() []int {
+	out := make([]int, 0, len(a))
+	for p := range a {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// missing counts active places without an entry in table.
+func (a places) missing(table map[int]Route) int {
+	n := 0
+	for p := range a {
+		if _, ok := table[p]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// move applies a movement notice from gw: it leaves its previous place (if
+// it still holds it) and now occupies the new one.
+func (a places) move(gw packet.NodeID, n mlrNotify) {
+	if n.PrevPlace != NoPlace {
+		if cur, ok := a[int(n.PrevPlace)]; ok && cur == gw {
+			delete(a, int(n.PrevPlace))
+		}
+	}
+	a[int(n.NewPlace)] = gw
+}
+
+// bestPlaced returns the least-hop route in table among the active places,
+// ties toward the lower place, passing over places present in skip.
+func bestPlaced[V any](active places, table map[int]Route, skip map[int]V) *Route {
+	var best *Route
+	for p := range active {
+		if _, skipped := skip[p]; skipped {
+			continue
+		}
+		if r, ok := table[p]; ok && (best == nil || r.Hops < best.Hops || (r.Hops == best.Hops && r.Place < best.Place)) {
+			best = &r
+		}
+	}
+	return best
+}
+
 // MLRGateway is the gateway side of MLR: it answers route queries with its
 // current feasible place, absorbs data, and floods a NOTIFY when moved.
 type MLRGateway struct {
-	Params  Params
-	Metrics metrics.Sink
-	Uplink  func(origin packet.NodeID, seq uint32, payload []byte)
-
-	dev   *node.Device
-	seen  *packet.Dedupe
-	place int
-	round int
-	seq   uint32
-
-	// paths remembers the discovery path per sensor so the gateway can
-	// source-route downstream traffic back (§6.2.4: data forwarding runs
-	// "from gateways to sensor nodes" too).
-	paths map[packet.NodeID][]packet.NodeID
+	gateway
 
 	// roundLoad counts data packets absorbed this round; when it crosses
 	// Params.OverloadThreshold the gateway floods an overload notification
@@ -122,41 +160,7 @@ type MLRGateway struct {
 // NewMLRGateway creates an MLR gateway stack; place is assigned by the
 // round controller before traffic starts.
 func NewMLRGateway(p Params, m metrics.Sink) *MLRGateway {
-	return &MLRGateway{Params: p, Metrics: m, place: -1,
-		paths: make(map[packet.NodeID][]packet.NodeID)}
-}
-
-// Start implements node.Stack.
-func (g *MLRGateway) Start(dev *node.Device) {
-	g.dev = dev
-	g.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, g.Params, g.Metrics)
-	if iv := g.Params.AdvertInterval; iv > 0 {
-		startAdverts(dev, iv, g.sendAdvert)
-	}
-}
-
-// sendAdvert floods one liveness beacon carrying the current place (see
-// advert.go).
-func (g *MLRGateway) sendAdvert() {
-	if g.dev == nil || !g.dev.Alive() {
-		return
-	}
-	g.seq++
-	pkt := &packet.Packet{
-		Kind:    packet.KindNotify,
-		From:    g.dev.ID(),
-		To:      packet.Broadcast,
-		Origin:  g.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     g.seq,
-		TTL:     g.Params.TTL,
-		Payload: marshalAdvert(g.place),
-	}
-	g.seen.Check(g.dev.ID(), g.seq)
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.AdvertSent)
-	}
+	return &MLRGateway{gateway: newGateway(p, m)}
 }
 
 // Place returns the gateway's current feasible-place index (-1 before
@@ -167,37 +171,11 @@ func (g *MLRGateway) Place() int { return g.place }
 // device to feasible place new for round round; moved says whether the
 // place changed (unmoved gateways stay silent, §5.3 step 2).
 func (g *MLRGateway) SetPlace(place, round int, moved bool) {
-	prev := g.place
-	g.place = place
-	g.round = round
+	n := g.moveTo(place, round)
 	g.roundLoad = 0
 	g.overloadSent = false
-	if !moved {
-		return
-	}
-	prevField := uint16(NoPlace)
-	if prev >= 0 {
-		prevField = uint16(prev)
-	}
-	n := mlrNotify{NewPlace: uint16(place), PrevPlace: prevField, Round: uint16(round)}
-	g.floodNotify(n.marshalMoveNotify())
-}
-
-func (g *MLRGateway) floodNotify(payload []byte) {
-	g.seq++
-	pkt := &packet.Packet{
-		Kind:    packet.KindNotify,
-		From:    g.dev.ID(),
-		To:      packet.Broadcast,
-		Origin:  g.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     g.seq,
-		TTL:     g.Params.TTL,
-		Payload: payload,
-	}
-	g.seen.Check(g.dev.ID(), g.seq)
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.NotifySent)
+	if moved {
+		g.flood(n.marshalMoveNotify(), metrics.NotifySent)
 	}
 }
 
@@ -205,31 +183,13 @@ func (g *MLRGateway) floodNotify(payload []byte) {
 // has previously answered a route query for. It reports whether a path was
 // known and the transmission left the radio.
 func (g *MLRGateway) SendToSensor(sensor packet.NodeID, payload []byte) bool {
-	fwd, ok := g.paths[sensor]
-	if !ok || len(fwd) < 2 || g.dev == nil || !g.dev.Alive() {
+	rev := g.downPath(sensor)
+	if rev == nil || !g.alive() {
 		return false
 	}
-	rev := make([]packet.NodeID, len(fwd))
-	for i, id := range fwd {
-		rev[len(fwd)-1-i] = id
-	}
 	g.seq++
-	pkt := &packet.Packet{
-		Kind:    packet.KindData,
-		From:    g.dev.ID(),
-		To:      rev[1],
-		Origin:  g.dev.ID(),
-		Target:  sensor,
-		Seq:     g.seq,
-		TTL:     g.Params.TTL,
-		Path:    rev,
-		Payload: payload,
-	}
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.DataSent)
-		return true
-	}
-	return false
+	return g.sendDown(&packet.Packet{Kind: packet.KindData, Target: sensor, Seq: g.seq, Payload: payload},
+		rev, metrics.DataSent)
 }
 
 // HandleMessage implements node.Stack.
@@ -239,24 +199,8 @@ func (g *MLRGateway) HandleMessage(pkt *packet.Packet) {
 	}
 	switch pkt.Kind {
 	case packet.KindRReq:
-		if g.place < 0 || g.seen.Check(pkt.Origin, pkt.Seq) {
-			return
-		}
-		full := pkt.AppendHop(g.dev.ID())
-		g.paths[pkt.Origin] = full
-		res := &packet.Packet{
-			Kind:    packet.KindRRes,
-			From:    g.dev.ID(),
-			To:      pkt.From,
-			Origin:  g.dev.ID(),
-			Target:  pkt.Origin,
-			Seq:     pkt.Seq,
-			TTL:     g.Params.TTL,
-			Path:    full,
-			Payload: placePayload(g.place, nil),
-		}
-		if g.dev.Send(res) {
-			g.Metrics.Inc(metrics.RResSent)
+		if g.place >= 0 {
+			g.answer(pkt)
 		}
 	case packet.KindData:
 		if pkt.Target != g.dev.ID() {
@@ -266,69 +210,48 @@ func (g *MLRGateway) HandleMessage(pkt *packet.Packet) {
 		if !ok {
 			return
 		}
-		g.Metrics.RecordDelivered(pkt.Origin, pkt.Seq, g.dev.ID(), int(pkt.Hops)+1, g.dev.Now())
-		if g.Uplink != nil {
-			g.Uplink(pkt.Origin, pkt.Seq, body)
-		}
+		g.deliver(pkt, body)
 		g.roundLoad++
 		if t := g.Params.OverloadThreshold; t > 0 && g.roundLoad >= t && !g.overloadSent {
 			g.overloadSent = true
-			g.floodNotify(marshalOverloadNotify(g.place, g.round))
+			g.flood(marshalOverloadNotify(g.place, g.round), metrics.NotifySent)
 		}
 	}
 }
 
 // MLRSensor is the sensor side of MLR.
 type MLRSensor struct {
-	Params  Params
-	Metrics metrics.Sink
-
-	dev  *node.Device
-	seen *packet.Dedupe
-	seq  uint32
+	sensor
 
 	// table is the incremental routing table, keyed by feasible place; it
-	// only ever grows while the topology is static (Table 1).
+	// only ever grows while the topology is static (Table 1). The liveness
+	// sweep never prunes it — only the active-place map — preserving MLR's
+	// never-rebuild property.
 	table map[int]Route
 	// active maps feasible places to the gateway currently deployed there.
-	active map[int]packet.NodeID
+	active places
 	// overloaded maps places under load shedding to the virtual time the
 	// mark expires.
 	overloaded map[int]sim.Time
-	// lastHeard tracks per-gateway liveness (see advert.go). The
-	// incremental table is never pruned — only the active-place map is,
-	// preserving MLR's never-rebuild property.
-	lastHeard map[packet.NodeID]sim.Time
 
 	// OnDownstream, when set, receives payloads a gateway routed down to
 	// this sensor (commands, configuration, queries).
 	OnDownstream func(gw packet.NodeID, payload []byte)
-
-	queue       [][]byte
-	discovering bool
-	retriesLeft int
-	// rerouting and lostAt carry a pending failover across a rediscovery
-	// when no live place survived the sweep.
-	rerouting bool
-	lostAt    sim.Time
 }
 
 // NewMLRSensor creates a sensor stack.
 func NewMLRSensor(p Params, m metrics.Sink) *MLRSensor {
 	return &MLRSensor{
-		Params: p, Metrics: m,
+		sensor:     newSensor(p, m),
 		table:      make(map[int]Route),
-		active:     make(map[int]packet.NodeID),
+		active:     make(places),
 		overloaded: make(map[int]sim.Time),
-		lastHeard:  make(map[packet.NodeID]sim.Time),
 	}
 }
 
 // Start implements node.Stack.
 func (s *MLRSensor) Start(dev *node.Device) {
-	s.dev = dev
-	s.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, s.Params, s.Metrics)
+	s.start(dev)
 	if iv := s.Params.AdvertInterval; iv > 0 {
 		dev.World().Kernel().Every(iv, s.sweep)
 	}
@@ -342,57 +265,47 @@ func (s *MLRSensor) Start(dev *node.Device) {
 // tenants the place, so keeping the entry would blackhole every later use.
 // The frame is then re-keyed to the best surviving place and re-sent; any
 // active gateway is a valid sink, so mid-path frames can redirect too.
+// Relays never discover on their own, so one left without any usable
+// route starts a discovery; otherwise it would keep link-acknowledging
+// frames it can only drop, a blackhole the upstream hops cannot notice.
 func (s *MLRSensor) HandleLinkFailure(pkt *packet.Packet) {
-	if pkt.Kind != packet.KindData || s.dev == nil || !s.dev.Alive() {
-		return
-	}
-	if len(pkt.Path) > 0 {
-		return // downstream source-routed frame: no alternate route exists
+	if pkt.Kind != packet.KindData || !s.alive() || len(pkt.Path) > 0 {
+		return // downstream source-routed frames have no alternate route
 	}
 	dead := pkt.To
 	bestBefore := s.BestRoute()
 	for place, r := range s.table {
-		hop := r.NextHop()
-		if cur, ok := s.active[place]; ok && hop == r.Gateway {
-			hop = cur // mirror sendData's last-hop tenant rewrite
+		if _, hop := s.via(&r); hop == dead {
+			delete(s.table, place)
+			delete(s.active, place)
 		}
-		if hop != dead {
-			continue
-		}
-		delete(s.table, place)
-		delete(s.active, place)
 	}
 	if bestBefore != nil && bestBefore.NextHop() == dead {
 		if s.BestRoute() != nil {
-			s.Metrics.Inc(metrics.Reroutes)
-			traceReroute(s.dev, dead, "link_failure", 0)
-		} else if !s.rerouting {
-			s.rerouting = true
-			s.lostAt = s.dev.Now()
-			if !s.discovering {
-				s.retriesLeft = s.Params.Retries
-				s.startDiscovery()
-			}
+			s.credit(dead, "link_failure", -1)
+		} else if !s.rerouting && s.routeLost(s.dev.Now()) {
+			s.startDiscovery()
 		}
 	}
-	if _, body, ok := parsePlacePayload(pkt.Payload); ok {
-		if !s.redirectData(pkt, body, false) {
-			s.ensureDiscovery()
-		}
+	if _, body, ok := parsePlacePayload(pkt.Payload); ok && !s.redirectData(pkt, body, false) && s.idle() {
+		s.startDiscovery()
 	}
 }
 
-// ensureDiscovery kicks route discovery on a node left without any usable
-// route. Relays never discover on their own (only originators do), so a
-// relay whose whole table was invalidated by link-failure verdicts would
-// otherwise keep link-acknowledging frames it can only drop — a persistent
-// blackhole the upstream hops have no way to notice.
-func (s *MLRSensor) ensureDiscovery() {
-	if s.discovering {
-		return
+// via returns where data on route r goes now: the gateway currently
+// deployed at r's place, and the first hop toward it. The route may have
+// been learned under a previous tenant of the place, so when that hop is
+// the gateway itself it is rewritten too.
+func (s *MLRSensor) via(r *Route) (gw, hop packet.NodeID) {
+	gw = r.Gateway
+	if cur, ok := s.active[r.Place]; ok {
+		gw = cur
 	}
-	s.retriesLeft = s.Params.Retries
-	s.startDiscovery()
+	hop = r.NextHop()
+	if hop == r.Gateway {
+		hop = gw
+	}
+	return gw, hop
 }
 
 // redirectData re-keys a data frame to the sensor's best active place and
@@ -407,28 +320,15 @@ func (s *MLRSensor) redirectData(pkt *packet.Packet, body []byte, decTTL bool) b
 	if r == nil {
 		return false // rediscovery in flight; this frame is lost
 	}
-	gw := r.Gateway
-	if cur, ok := s.active[r.Place]; ok {
-		gw = cur
-	}
-	to := r.NextHop()
-	if to == r.Gateway {
-		to = gw
-	}
 	fwd := *pkt
 	fwd.From = s.dev.ID()
-	fwd.To = to
-	fwd.Target = gw
+	fwd.Target, fwd.To = s.via(r)
 	fwd.Payload = placePayload(r.Place, body)
 	if decTTL {
 		fwd.TTL--
 		fwd.Hops++
 	}
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
-		return true
-	}
-	return false
+	return s.send(&fwd, metrics.DataSent)
 }
 
 // sweep is the periodic liveness check armed when Params.AdvertInterval is
@@ -437,41 +337,27 @@ func (s *MLRSensor) redirectData(pkt *packet.Packet, body []byte, decTTL bool) b
 // table entries survive — a recovered or returning gateway reactivates the
 // place with a single advert or NOTIFY.
 func (s *MLRSensor) sweep() {
-	if s.dev == nil || !s.dev.Alive() {
+	if !s.alive() {
 		return
 	}
-	timeout := s.Params.advertTimeout()
 	now := s.dev.Now()
 	bestBefore := s.BestRoute()
 	lostAt := sim.Time(-1)
 	for place, gw := range s.active {
-		at, ok := s.lastHeard[gw]
-		if !ok || now <= at+timeout {
-			continue // never confirmed (bootstrap) or still live
-		}
-		delete(s.active, place)
-		if bestBefore != nil && bestBefore.Place == place {
-			lostAt = at + timeout
+		if at, dead := s.silent(gw, now); dead {
+			delete(s.active, place)
+			if bestBefore != nil && bestBefore.Place == place {
+				lostAt = at
+			}
 		}
 	}
 	if lostAt < 0 {
 		return
 	}
-	if s.BestRoute() != nil {
-		s.Metrics.Inc(metrics.Reroutes)
-		s.Metrics.Add(metrics.FailoverLatencyUs, uint64(now-lostAt))
-		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(now-lostAt))
-		traceReroute(s.dev, s.BestRoute().Gateway, "liveness", now-lostAt)
-		return
-	}
-	// No live place left: rediscover immediately instead of waiting for
-	// the next origination; credit the reroute when the discovery
-	// concludes.
-	s.rerouting = true
-	s.lostAt = lostAt
-	if !s.discovering {
-		s.retriesLeft = s.Params.Retries
-		s.startDiscovery()
+	if next := s.BestRoute(); next != nil {
+		s.credit(next.Gateway, "liveness", lostAt)
+	} else if s.routeLost(lostAt) {
+		s.startDiscovery() // no live place left: rediscover now
 	}
 }
 
@@ -486,156 +372,71 @@ func (s *MLRSensor) Table() map[int]Route {
 
 // ActivePlaces returns the places believed to host a gateway this round, in
 // ascending order.
-func (s *MLRSensor) ActivePlaces() []int {
-	out := make([]int, 0, len(s.active))
-	for p := range s.active {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
+func (s *MLRSensor) ActivePlaces() []int { return s.active.sorted() }
 
 // BestRoute returns the least-hop entry among active places, or nil.
 // Places currently under load shedding (§4.3) are avoided when any
 // alternative exists.
 func (s *MLRSensor) BestRoute() *Route {
-	if best := s.bestAmong(true); best != nil {
+	if best := bestPlaced(s.active, s.table, s.shedding()); best != nil {
 		return best
 	}
-	return s.bestAmong(false)
+	return bestPlaced[sim.Time](s.active, s.table, nil)
 }
 
-func (s *MLRSensor) bestAmong(skipOverloaded bool) *Route {
-	var best *Route
-	for p := range s.active {
-		if skipOverloaded && s.isOverloaded(p) {
-			continue
-		}
-		if r, ok := s.table[p]; ok {
-			if best == nil || r.Hops < best.Hops || (r.Hops == best.Hops && r.Place < best.Place) {
-				rr := r
-				best = &rr
-			}
+// shedding returns the places under load shedding, forgetting marks that
+// have expired.
+func (s *MLRSensor) shedding() map[int]sim.Time {
+	for p, exp := range s.overloaded {
+		if s.dev == nil || s.dev.Now() >= exp {
+			delete(s.overloaded, p)
 		}
 	}
-	return best
-}
-
-func (s *MLRSensor) isOverloaded(place int) bool {
-	exp, ok := s.overloaded[place]
-	if !ok {
-		return false
-	}
-	if s.dev == nil || s.dev.Now() >= exp {
-		delete(s.overloaded, place)
-		return false
-	}
-	return true
-}
-
-// missingActivePlaces lists active places without a table entry.
-func (s *MLRSensor) missingActivePlaces() []int {
-	var out []int
-	for p := range s.active {
-		if _, ok := s.table[p]; !ok {
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return s.overloaded
 }
 
 // OriginateData queues one payload toward the best currently deployed
 // gateway, discovering routes for unknown active places first.
 func (s *MLRSensor) OriginateData(payload []byte) {
-	if s.dev == nil || !s.dev.Alive() {
+	if !s.alive() {
 		return
 	}
-	if len(s.active) > 0 && len(s.missingActivePlaces()) == 0 {
+	if len(s.active) > 0 && s.active.missing(s.table) == 0 {
 		if best := s.BestRoute(); best != nil {
 			s.sendData(payload, best)
 			return
 		}
 	}
-	if len(s.queue) >= s.Params.QueueLimit {
-		s.Metrics.Inc(metrics.DroppedQueue)
-		return
-	}
-	s.queue = append(s.queue, payload)
-	if !s.discovering {
-		s.retriesLeft = s.Params.Retries
+	if s.enqueue(payload) {
 		s.startDiscovery()
 	}
 }
 
 func (s *MLRSensor) startDiscovery() {
-	s.discovering = true
-	s.seq++
-	req := &packet.Packet{
-		Kind:   packet.KindRReq,
-		From:   s.dev.ID(),
-		To:     packet.Broadcast,
-		Origin: s.dev.ID(),
-		Target: packet.Broadcast,
-		Seq:    s.seq,
-		TTL:    s.Params.TTL,
-		Path:   []packet.NodeID{s.dev.ID()},
-	}
-	s.seen.Check(s.dev.ID(), s.seq)
-	if s.dev.Send(req) {
-		s.Metrics.Inc(metrics.RReqSent)
-	}
+	s.discover(nil)
 	s.dev.After(s.Params.ResponseWait, s.decide)
 }
 
 func (s *MLRSensor) decide() {
-	if !s.discovering || s.dev == nil || !s.dev.Alive() {
-		return
-	}
-	s.discovering = false
 	best := s.BestRoute()
-	if best == nil {
-		if s.retriesLeft > 0 {
-			s.retriesLeft--
-			s.startDiscovery()
-			return
-		}
-		s.Metrics.Add(metrics.DroppedNoRoute, uint64(len(s.queue)))
-		traceExpiredBatch(s.dev, len(s.queue), "no_route")
-		s.queue = nil
-		return
+	queued, _, again := s.conclude(best)
+	if again {
+		s.startDiscovery()
 	}
-	if s.rerouting {
-		s.rerouting = false
-		s.Metrics.Inc(metrics.Reroutes)
-		s.Metrics.Add(metrics.FailoverLatencyUs, uint64(s.dev.Now()-s.lostAt))
-		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(s.dev.Now()-s.lostAt))
-		traceReroute(s.dev, best.Gateway, "rediscovery", s.dev.Now()-s.lostAt)
-	}
-	for _, p := range s.queue {
+	for _, p := range queued {
 		s.sendData(p, best)
 	}
-	s.queue = nil
 }
 
 func (s *MLRSensor) sendData(payload []byte, r *Route) {
 	s.seq++
 	// The gateway currently at the place may differ from the one that
-	// originally taught us the route; address whoever is there now, both
-	// end to end and — when the gateway is the very next hop — at the
-	// link layer.
-	gw := r.Gateway
-	if cur, ok := s.active[r.Place]; ok {
-		gw = cur
-	}
-	to := r.NextHop()
-	if to == r.Gateway {
-		to = gw
-	}
+	// originally taught us the route; address whoever is there now.
+	gw, hop := s.via(r)
 	pkt := &packet.Packet{
 		Kind:    packet.KindData,
 		From:    s.dev.ID(),
-		To:      to,
+		To:      hop,
 		Origin:  s.dev.ID(),
 		Target:  gw,
 		Seq:     s.seq,
@@ -643,20 +444,7 @@ func (s *MLRSensor) sendData(payload []byte, r *Route) {
 		Payload: placePayload(r.Place, payload),
 	}
 	s.Metrics.RecordGenerated(s.dev.ID(), s.seq, s.dev.Now())
-	if s.dev.Send(pkt) {
-		s.Metrics.Inc(metrics.DataSent)
-	}
-}
-
-// learnRoute records a route for a place if new or shorter, also noting the
-// place as active under the given gateway.
-func (s *MLRSensor) learnRoute(place int, gw packet.NodeID, path []packet.NodeID) {
-	s.active[place] = gw
-	s.lastHeard[gw] = s.dev.Now()
-	r := Route{Gateway: gw, Place: place, Hops: len(path) - 1, Path: append([]packet.NodeID(nil), path...)}
-	if old, ok := s.table[place]; !ok || r.Hops < old.Hops {
-		s.table[place] = r
-	}
+	s.send(pkt, metrics.DataSent)
 }
 
 // HandleMessage implements node.Stack.
@@ -680,68 +468,24 @@ func (s *MLRSensor) handleRReq(pkt *packet.Packet) {
 	if pkt.Origin == s.dev.ID() || s.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	// Answer from the table for every active place we know (step 3.1),
-	// and re-flood only if some active place is still unknown to us.
-	answered := 0
-	if s.Params.NoShortcutAnswers {
-		goto reflood
-	}
-	// Sorted place order: each RRES transmission consumes loss draws from
-	// the kernel RNG, so answering in map order would make lossy runs
-	// nondeterministic.
-	for _, p := range s.ActivePlaces() {
-		gw := s.active[p]
-		r, ok := s.table[p]
-		if !ok || r.Gateway != gw {
-			continue
-		}
-		full := shortcutPath(pkt.Path, s.dev.ID(), r.Path)
-		res := &packet.Packet{
-			Kind:    packet.KindRRes,
-			From:    s.dev.ID(),
-			To:      pkt.From,
-			Origin:  s.dev.ID(),
-			Target:  pkt.Origin,
-			Seq:     pkt.Seq,
-			TTL:     s.Params.TTL,
-			Path:    full,
-			Payload: placePayload(p, nil),
-		}
-		if s.dev.Send(res) {
-			s.Metrics.Inc(metrics.RResSent)
-		}
-		answered++
-	}
-	if answered > 0 && len(s.missingActivePlaces()) == 0 {
-		return // complete answer; suppress the flood
-	}
-reflood:
-	if pkt.TTL <= 1 {
-		return
-	}
-	fwd := *pkt
-	fwd.Path = pkt.AppendHop(s.dev.ID())
-	fwd.From = s.dev.ID()
-	fwd.TTL--
-	fwd.Hops++
-	s.sendFlood(&fwd, metrics.RReqSent)
-}
-
-// sendFlood transmits a flood rebroadcast with optional de-synchronizing
-// jitter (see Params.FloodJitter).
-func (s *MLRSensor) sendFlood(fwd *packet.Packet, counter metrics.Counter) {
-	if j := s.Params.FloodJitter; j > 0 {
-		delay := sim.Duration(s.dev.World().Kernel().Rand().Int63n(int64(j)))
-		s.dev.After(delay, func() {
-			if s.dev.Alive() && s.dev.Send(fwd) {
-				s.Metrics.Inc(counter)
+	if !s.Params.NoShortcutAnswers {
+		// Answer from the table for every active place we know (step 3.1),
+		// and re-flood only if some active place is still unknown to us.
+		// Sorted place order: each RRES transmission consumes loss draws
+		// from the kernel RNG, so answering in map order would make lossy
+		// runs nondeterministic.
+		answered := 0
+		for _, p := range s.active.sorted() {
+			if r, ok := s.table[p]; ok && r.Gateway == s.active[p] {
+				s.shortcut(pkt, r.Path, placePayload(p, nil))
+				answered++
 			}
-		})
-		return
+		}
+		if answered > 0 && s.active.missing(s.table) == 0 {
+			return // complete answer; suppress the flood
+		}
 	}
-	if s.dev.Send(fwd) {
-		s.Metrics.Inc(counter)
-	}
+	s.relayFlood(pkt)
 }
 
 func (s *MLRSensor) handleRRes(pkt *packet.Packet) {
@@ -749,26 +493,22 @@ func (s *MLRSensor) handleRRes(pkt *packet.Packet) {
 	if !ok || len(pkt.Path) < 2 {
 		return
 	}
-	gw := pkt.Path[len(pkt.Path)-1]
 	idx := indexOf(pkt.Path, s.dev.ID())
 	if idx < 0 {
 		return
 	}
 	// Record the suffix route while the response travels back (§6.2.2
-	// applies the same discipline to MLR's plain variant).
-	s.learnRoute(place, gw, pkt.Path[idx:])
-	if pkt.Target == s.dev.ID() {
-		return // learned; decide() fires on its timer
+	// applies the same discipline to MLR's plain variant); the target has
+	// learned it and decide() fires on its timer.
+	gw := pkt.Path[len(pkt.Path)-1]
+	s.active[place] = gw
+	s.lastHeard[gw] = s.dev.Now()
+	r := Route{Gateway: gw, Place: place, Hops: len(pkt.Path) - 1 - idx, Path: append([]packet.NodeID(nil), pkt.Path[idx:]...)}
+	if old, ok := s.table[place]; !ok || r.Hops < old.Hops {
+		s.table[place] = r
 	}
-	if idx == 0 {
-		return
-	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = pkt.Path[idx-1]
-	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.RResSent)
+	if pkt.Target != s.dev.ID() {
+		s.relayResponse(pkt, idx)
 	}
 }
 
@@ -781,24 +521,11 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		return
 	}
 	if pkt.TTL <= 1 {
-		s.Metrics.Inc(metrics.ForwardTTLExpired)
-		traceExpired(s.dev, pkt, "ttl")
+		s.drop(pkt, metrics.ForwardTTLExpired, "ttl")
 		return
 	}
 	if len(pkt.Path) > 0 {
-		// Downstream packet in transit: follow the source route.
-		idx := indexOf(pkt.Path, s.dev.ID())
-		if idx < 0 || idx+1 >= len(pkt.Path) {
-			return
-		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = pkt.Path[idx+1]
-		fwd.TTL--
-		fwd.Hops++
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.DataSent)
-		}
+		s.followPath(pkt, metrics.DataSent) // downstream packet in transit
 		return
 	}
 	place, body, ok := parsePlacePayload(pkt.Payload)
@@ -808,32 +535,24 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 	r, entry := s.table[place]
 	if !entry {
 		if s.Params.LinkRetries > 0 && !s.redirectData(pkt, body, true) {
-			s.Metrics.Inc(metrics.ForwardNoEntry)
-			traceExpired(s.dev, pkt, "no_entry")
-			s.ensureDiscovery()
+			s.drop(pkt, metrics.ForwardNoEntry, "no_entry")
+			if s.idle() {
+				s.startDiscovery()
+			}
 		}
 		return
 	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = r.NextHop()
-	if fwd.To == r.Gateway {
+	to := r.NextHop()
+	if to == r.Gateway {
 		// Last hop: the route was learned under a previous tenant of this
 		// place; address the gateway the packet is actually destined for.
-		fwd.To = pkt.Target
+		to = pkt.Target
 	}
-	fwd.TTL--
-	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
-	}
+	s.forward(pkt, to, metrics.DataSent)
 }
 
 func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
-	if s.seen.Check(pkt.Origin, pkt.Seq) {
-		return
-	}
-	if len(pkt.Payload) < 1 {
+	if s.seen.Check(pkt.Origin, pkt.Seq) || len(pkt.Payload) < 1 {
 		return
 	}
 	switch pkt.Payload[0] {
@@ -843,7 +562,7 @@ func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
 			return
 		}
 		s.lastHeard[pkt.Origin] = s.dev.Now()
-		s.applyNotify(pkt.Origin, n)
+		s.active.move(pkt.Origin, n)
 	case notifyAdvert:
 		place, ok := parseAdvert(pkt.Payload)
 		if !ok {
@@ -868,23 +587,7 @@ func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
 	default:
 		return
 	}
-	if pkt.TTL <= 1 {
-		return
-	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.TTL--
-	fwd.Hops++
-	s.sendFlood(&fwd, metrics.NotifySent)
-}
-
-func (s *MLRSensor) applyNotify(gw packet.NodeID, n mlrNotify) {
-	if n.PrevPlace != NoPlace {
-		if cur, ok := s.active[int(n.PrevPlace)]; ok && cur == gw {
-			delete(s.active, int(n.PrevPlace))
-		}
-	}
-	s.active[int(n.NewPlace)] = gw
+	s.relayFlood(pkt)
 }
 
 // PlacedGateway is a gateway stack that a round controller can deploy at
@@ -967,11 +670,4 @@ func (r *Rounds) apply(round int) {
 			pg.SetPlace(place, round, moved)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -329,7 +329,7 @@ func TestMLROverloadShedding(t *testing.T) {
 	if got := m.PerGateway()[1000]; got < 5 {
 		t.Fatalf("setup: gateway 1000 absorbed %d, want >= threshold", got)
 	}
-	if !stacks[5].isOverloaded(0) {
+	if _, marked := stacks[5].shedding()[0]; !marked {
 		t.Fatal("sensor did not mark place 0 overloaded")
 	}
 	// Subsequent traffic redirects to place 1 despite the extra hop.
@@ -341,7 +341,7 @@ func TestMLROverloadShedding(t *testing.T) {
 	}
 	// The mark expires and traffic returns to the shorter route.
 	w.Run(w.Kernel().Now() + 40*sim.Second)
-	if stacks[5].isOverloaded(0) {
+	if _, marked := stacks[5].shedding()[0]; marked {
 		t.Fatal("overload mark never expired")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"sort"
 
 	"wmsn/internal/metrics"
 	"wmsn/internal/node"
@@ -100,24 +101,13 @@ func parseResBody(b []byte) (place, round int, ok bool) {
 // encryption — runs here, on the resource-rich node (§6.1 "heavyweight
 // computations should be performed by gateways").
 type SecMLRGateway struct {
-	Params  Params
-	Metrics metrics.Sink
-	Keys    *GatewayKeys
-	Uplink  func(origin packet.NodeID, seq uint32, payload []byte)
+	gateway
+	pairwise
+	Keys *GatewayKeys
 
-	dev   *node.Device
-	seen  *packet.Dedupe
-	place int
-	round int
-	seq   uint32
-
-	guards map[packet.NodeID]*wsncrypto.ReplayGuard
-	txCtr  map[packet.NodeID]uint64
 	// collecting accumulates alternative RREQ paths per (origin, seq)
 	// during the GatewayWait window.
 	collecting map[packet.DedupeKey]*pathCollection
-	// paths remembers the chosen path per sensor, reversed for ACKs.
-	paths map[packet.NodeID][]packet.NodeID
 }
 
 type pathCollection struct {
@@ -128,52 +118,28 @@ type pathCollection struct {
 // NewSecMLRGateway creates a SecMLR gateway stack with its keying material.
 func NewSecMLRGateway(p Params, m metrics.Sink, keys *GatewayKeys) *SecMLRGateway {
 	return &SecMLRGateway{
-		Params: p, Metrics: m, Keys: keys,
-		place:      -1,
-		guards:     make(map[packet.NodeID]*wsncrypto.ReplayGuard),
-		txCtr:      make(map[packet.NodeID]uint64),
+		gateway:    newGateway(p, m),
+		pairwise:   newPairwise(),
+		Keys:       keys,
 		collecting: make(map[packet.DedupeKey]*pathCollection),
-		paths:      make(map[packet.NodeID][]packet.NodeID),
 	}
 }
 
-// Start implements node.Stack.
-func (g *SecMLRGateway) Start(dev *node.Device) {
-	g.dev = dev
-	g.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, g.Params, g.Metrics)
-}
+// Start implements node.Stack. SecMLR floods no liveness adverts: its
+// ACK-driven failover already covers gateway loss.
+func (g *SecMLRGateway) Start(dev *node.Device) { g.start(dev) }
 
 // Place returns the current feasible-place index (-1 before deployment).
 func (g *SecMLRGateway) Place() int { return g.place }
 
-func (g *SecMLRGateway) guard(sensor packet.NodeID) *wsncrypto.ReplayGuard {
-	gd, ok := g.guards[sensor]
-	if !ok {
-		gd = &wsncrypto.ReplayGuard{}
-		g.guards[sensor] = gd
-	}
-	return gd
-}
-
 // SetPlace implements PlacedGateway: announce the move with a µTESLA-
 // authenticated NOTIFY, disclosing the interval key after DiscloseDelay.
 func (g *SecMLRGateway) SetPlace(place, round int, moved bool) {
-	prev := g.place
-	g.place = place
-	g.round = round
+	n := g.moveTo(place, round)
 	if !moved {
 		return
 	}
-	interval := round + 1
-	if interval > g.Keys.Tesla.Intervals() {
-		interval = g.Keys.Tesla.Intervals() // chain exhausted; reuse last
-	}
-	prevField := uint16(NoPlace)
-	if prev >= 0 {
-		prevField = uint16(prev)
-	}
-	n := mlrNotify{NewPlace: uint16(place), PrevPlace: prevField, Round: uint16(round)}
+	interval := min(round+1, g.Keys.Tesla.Intervals()) // an exhausted chain reuses its last key
 	body := n.marshal()
 	tag := g.Keys.Tesla.Authenticate(interval, body)
 
@@ -182,7 +148,7 @@ func (g *SecMLRGateway) SetPlace(place, round int, moved bool) {
 	payload = append(payload, body...)
 	payload = binary.BigEndian.AppendUint16(payload, uint16(interval))
 	payload = append(payload, tag...)
-	g.floodNotify(payload)
+	g.flood(payload, metrics.NotifySent)
 
 	key := g.Keys.Tesla.KeyAt(interval)
 	g.dev.After(g.Params.DiscloseDelay, func() {
@@ -190,26 +156,8 @@ func (g *SecMLRGateway) SetPlace(place, round int, moved bool) {
 		disc = append(disc, notifyDisclose)
 		disc = binary.BigEndian.AppendUint16(disc, uint16(interval))
 		disc = append(disc, key...)
-		g.floodNotify(disc)
+		g.flood(disc, metrics.NotifySent)
 	})
-}
-
-func (g *SecMLRGateway) floodNotify(payload []byte) {
-	g.seq++
-	pkt := &packet.Packet{
-		Kind:    packet.KindNotify,
-		From:    g.dev.ID(),
-		To:      packet.Broadcast,
-		Origin:  g.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     g.seq,
-		TTL:     g.Params.TTL,
-		Payload: payload,
-	}
-	g.seen.Check(g.dev.ID(), g.seq)
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.NotifySent)
-	}
 }
 
 // HandleMessage implements node.Stack.
@@ -243,14 +191,10 @@ func (g *SecMLRGateway) handleRReq(pkt *packet.Packet) {
 	if mine == nil {
 		return
 	}
+	// Verify (1) origin authenticity via the MAC (an unknown, e.g. Sybil,
+	// or revoked identity fails too) ...
 	key, known := g.Keys.Lookup(pkt.Origin)
-	if !known {
-		g.Metrics.Inc(metrics.RejectedMAC) // unknown (e.g. Sybil) or revoked identity
-		return
-	}
-	// Verify (1) origin authenticity via the MAC ...
-	if !wsncrypto.Verify(key, mine.Counter, []byte{mine.Cipher}, mine.MAC) {
-		g.Metrics.Inc(metrics.RejectedMAC)
+	if !g.verify(g.Metrics, key, known, &packet.SecEnvelope{Counter: mine.Counter, Cipher: []byte{mine.Cipher}, MAC: mine.MAC}) {
 		return
 	}
 	path := pkt.AppendHop(g.dev.ID())
@@ -263,19 +207,17 @@ func (g *SecMLRGateway) handleRReq(pkt *packet.Packet) {
 		return
 	}
 	// ... and (2) freshness via the incremental counter (§6.2.2).
-	if !g.guard(pkt.Origin).Accept(mine.Counter) {
-		g.Metrics.Inc(metrics.RejectedReplay)
+	if !g.fresh(g.Metrics, pkt.Origin, mine.Counter) {
 		return
 	}
-	col := &pathCollection{counter: mine.Counter, paths: [][]packet.NodeID{path}}
-	g.collecting[k] = col
-	origin := pkt.Origin
-	seq := pkt.Seq
-	g.dev.After(g.Params.GatewayWait, func() { g.answer(origin, seq) })
+	g.collecting[k] = &pathCollection{counter: mine.Counter, paths: [][]packet.NodeID{path}}
+	origin, seq := pkt.Origin, pkt.Seq
+	g.dev.After(g.Params.GatewayWait, func() { g.respondShortest(origin, seq) })
 }
 
-// answer closes the collection window and responds with the shortest path.
-func (g *SecMLRGateway) answer(origin packet.NodeID, seq uint32) {
+// respondShortest closes the collection window and responds with the
+// shortest path.
+func (g *SecMLRGateway) respondShortest(origin packet.NodeID, seq uint32) {
 	k := packet.DedupeKey{Origin: origin, Seq: seq}
 	col, ok := g.collecting[k]
 	if !ok || g.place < 0 {
@@ -289,30 +231,8 @@ func (g *SecMLRGateway) answer(origin packet.NodeID, seq uint32) {
 		}
 	}
 	g.paths[origin] = best
-
-	key := g.Keys.Sensor[origin]
-	g.txCtr[origin]++
-	ctr := g.txCtr[origin]
-	cipher := wsncrypto.Encrypt(key, ctr, resBody(g.place, g.round))
-	res := &packet.Packet{
-		Kind:    packet.KindRRes,
-		From:    g.dev.ID(),
-		To:      best[len(best)-2],
-		Origin:  g.dev.ID(),
-		Target:  origin,
-		Seq:     seq,
-		TTL:     g.Params.TTL,
-		Path:    best,
-		Payload: placePayload(g.place, nil),
-		Sec: &packet.SecEnvelope{
-			Counter: ctr,
-			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
-		},
-	}
-	if g.dev.Send(res) {
-		g.Metrics.Inc(metrics.RResSent)
-	}
+	sec := g.seal(origin, g.Keys.Sensor[origin], resBody(g.place, g.round))
+	g.respond(best[len(best)-2], origin, seq, best, placePayload(g.place, nil), sec)
 }
 
 func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
@@ -323,107 +243,37 @@ func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
 		g.Metrics.Inc(metrics.RejectedMAC) // unprotected data (e.g. Sybil injection)
 		return
 	}
-	_, _, ok := parsePlacePayload(pkt.Payload)
-	if !ok {
+	if _, _, ok := parsePlacePayload(pkt.Payload); !ok {
 		return
 	}
 	key, known := g.Keys.Lookup(pkt.Origin)
-	if !known {
-		g.Metrics.Inc(metrics.RejectedMAC)
+	body, ok := g.open(g.Metrics, pkt.Origin, key, known, pkt.Sec)
+	if !ok {
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
-		g.Metrics.Inc(metrics.RejectedMAC)
-		return
+	g.deliver(pkt, body)
+	// ACK back along the reverse of the stored Si..Gj path.
+	if rev := g.downPath(pkt.Origin); rev != nil {
+		seqBuf := binary.BigEndian.AppendUint32(nil, pkt.Seq)
+		sec := g.seal(pkt.Origin, g.Keys.Sensor[pkt.Origin], seqBuf)
+		g.sendDown(&packet.Packet{Kind: packet.KindAck, Target: pkt.Origin, Seq: pkt.Seq, Payload: seqBuf, Sec: sec},
+			rev, metrics.AckSent)
 	}
-	if !g.guard(pkt.Origin).Accept(pkt.Sec.Counter) {
-		g.Metrics.Inc(metrics.RejectedReplay)
-		return
-	}
-	body := wsncrypto.Decrypt(key, pkt.Sec.Counter, pkt.Sec.Cipher)
-	g.Metrics.RecordDelivered(pkt.Origin, pkt.Seq, g.dev.ID(), int(pkt.Hops)+1, g.dev.Now())
-	if g.Uplink != nil {
-		g.Uplink(pkt.Origin, pkt.Seq, body)
-	}
-	g.sendAck(pkt.Origin, pkt.Seq)
 }
 
 // SendToSensor source-routes an encrypted, authenticated downstream payload
 // to a sensor the gateway holds a discovery path for (§6.2.4 downstream
 // direction). The sensor verifies the MAC and counter before delivery.
 func (g *SecMLRGateway) SendToSensor(sensor packet.NodeID, payload []byte) bool {
-	fwd, ok := g.paths[sensor]
-	if !ok || len(fwd) < 2 || g.dev == nil || !g.dev.Alive() {
-		return false
-	}
+	rev := g.downPath(sensor)
 	key, known := g.Keys.Sensor[sensor]
-	if !known {
+	if rev == nil || !known || !g.alive() {
 		return false
 	}
-	rev := make([]packet.NodeID, len(fwd))
-	for i, id := range fwd {
-		rev[len(fwd)-1-i] = id
-	}
-	g.txCtr[sensor]++
-	ctr := g.txCtr[sensor]
-	cipher := wsncrypto.Encrypt(key, ctr, payload)
+	sec := g.seal(sensor, key, payload)
 	g.seq++
-	pkt := &packet.Packet{
-		Kind:   packet.KindData,
-		From:   g.dev.ID(),
-		To:     rev[1],
-		Origin: g.dev.ID(),
-		Target: sensor,
-		Seq:    g.seq,
-		TTL:    g.Params.TTL,
-		Path:   rev,
-		Sec: &packet.SecEnvelope{
-			Counter: ctr,
-			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
-		},
-	}
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.DataSent)
-		return true
-	}
-	return false
-}
-
-func (g *SecMLRGateway) sendAck(origin packet.NodeID, seq uint32) {
-	fwd, ok := g.paths[origin]
-	if !ok || len(fwd) < 2 {
-		return
-	}
-	// Reverse the stored Si..Gj path into Gj..Si.
-	rev := make([]packet.NodeID, len(fwd))
-	for i, id := range fwd {
-		rev[len(fwd)-1-i] = id
-	}
-	key := g.Keys.Sensor[origin]
-	g.txCtr[origin]++
-	ctr := g.txCtr[origin]
-	seqBuf := binary.BigEndian.AppendUint32(nil, seq)
-	cipher := wsncrypto.Encrypt(key, ctr, seqBuf)
-	ack := &packet.Packet{
-		Kind:    packet.KindAck,
-		From:    g.dev.ID(),
-		To:      rev[1],
-		Origin:  g.dev.ID(),
-		Target:  origin,
-		Seq:     seq,
-		TTL:     g.Params.TTL,
-		Path:    rev,
-		Payload: seqBuf,
-		Sec: &packet.SecEnvelope{
-			Counter: ctr,
-			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
-		},
-	}
-	if g.dev.Send(ack) {
-		g.Metrics.Inc(metrics.AckSent)
-	}
+	return g.sendDown(&packet.Packet{Kind: packet.KindData, Target: sensor, Seq: g.seq, Sec: sec},
+		rev, metrics.DataSent)
 }
 
 // teslaState is a sensor's broadcast-authentication state for one gateway.
@@ -440,13 +290,9 @@ type bufferedNotify struct {
 
 // SecMLRSensor is the sensor side of SecMLR.
 type SecMLRSensor struct {
-	Params  Params
-	Metrics metrics.Sink
-	Keys    *SensorKeys
-
-	dev  *node.Device
-	seen *packet.Dedupe
-	seq  uint32
+	sensor
+	pairwise
+	Keys *SensorKeys
 
 	// table holds per-flow forwarding entries — the paper's 4-tuple
 	// (source, destination, IS, IR) routing table of §6.2.4, keyed by
@@ -458,15 +304,8 @@ type SecMLRSensor struct {
 	// verified holds routes confirmed end-to-end by a gateway-MAC'd RRES;
 	// only these carry this node's own data.
 	verified map[int]Route
-	active   map[int]packet.NodeID
-
-	txCtr  map[packet.NodeID]uint64
-	guards map[packet.NodeID]*wsncrypto.ReplayGuard
-	tesla  map[packet.NodeID]*teslaState
-
-	queue       [][]byte
-	discovering bool
-	retriesLeft int
+	active   places
+	tesla    map[packet.NodeID]*teslaState
 
 	// pending tracks unacknowledged data for failover, keyed by data seq.
 	pending map[uint32]*pendingTx
@@ -494,12 +333,12 @@ type flowKey struct {
 // NewSecMLRSensor creates a sensor stack with its pre-distributed keys.
 func NewSecMLRSensor(p Params, m metrics.Sink, keys *SensorKeys) *SecMLRSensor {
 	s := &SecMLRSensor{
-		Params: p, Metrics: m, Keys: keys,
+		sensor:   newSensor(p, m),
+		pairwise: newPairwise(),
+		Keys:     keys,
 		table:    make(map[flowKey]Route),
 		verified: make(map[int]Route),
-		active:   make(map[int]packet.NodeID),
-		txCtr:    make(map[packet.NodeID]uint64),
-		guards:   make(map[packet.NodeID]*wsncrypto.ReplayGuard),
+		active:   make(places),
 		tesla:    make(map[packet.NodeID]*teslaState),
 		pending:  make(map[uint32]*pendingTx),
 	}
@@ -512,22 +351,15 @@ func NewSecMLRSensor(p Params, m metrics.Sink, keys *SensorKeys) *SecMLRSensor {
 	return s
 }
 
-// Start implements node.Stack.
-func (s *SecMLRSensor) Start(dev *node.Device) {
-	s.dev = dev
-	s.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, s.Params, s.Metrics)
-}
-
 // HandleLinkFailure implements node.LinkFailureHandler. SecMLR already has
 // an end-to-end recovery path — the per-packet AckWait timer and
 // multi-route failover (§6.2.3) — so the link layer only sharpens it:
 // routes through the dead hop are forgotten, and for the sensor's own data
 // the failover fires immediately instead of waiting out the full AckWait.
 // Failed failovers stay accounted as Failovers/AbandonedData, never as
-// Reroutes: the two counters keep their PR 3 meanings.
+// Reroutes.
 func (s *SecMLRSensor) HandleLinkFailure(pkt *packet.Packet) {
-	if pkt.Kind != packet.KindData || s.dev == nil || !s.dev.Alive() {
+	if pkt.Kind != packet.KindData || !s.alive() {
 		return
 	}
 	dead := pkt.To
@@ -566,158 +398,61 @@ func (s *SecMLRSensor) VerifiedRoutes() map[int]Route {
 }
 
 // ActivePlaces returns the places believed to host a gateway, ascending.
-func (s *SecMLRSensor) ActivePlaces() []int {
-	out := make([]int, 0, len(s.active))
-	for p := range s.active {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (s *SecMLRSensor) ActivePlaces() []int { return s.active.sorted() }
 
-func (s *SecMLRSensor) guard(gw packet.NodeID) *wsncrypto.ReplayGuard {
-	gd, ok := s.guards[gw]
-	if !ok {
-		gd = &wsncrypto.ReplayGuard{}
-		s.guards[gw] = gd
-	}
-	return gd
-}
-
-// bestVerified returns the least-hop verified route among active places,
-// excluding places in skip.
-func (s *SecMLRSensor) bestVerified(skip map[int]bool) *Route {
-	var best *Route
-	for p := range s.active {
-		if skip != nil && skip[p] {
-			continue
-		}
-		if r, ok := s.verified[p]; ok {
-			if best == nil || r.Hops < best.Hops || (r.Hops == best.Hops && r.Place < best.Place) {
-				rr := r
-				best = &rr
-			}
-		}
-	}
-	return best
-}
-
-// BestRoute returns the route this node's own data currently takes.
-func (s *SecMLRSensor) BestRoute() *Route { return s.bestVerified(nil) }
-
-func (s *SecMLRSensor) missingVerified() int {
-	missing := 0
-	for p := range s.active {
-		if _, ok := s.verified[p]; !ok {
-			missing++
-		}
-	}
-	return missing
-}
+// BestRoute returns the route this node's own data currently takes: the
+// least-hop verified route among active places.
+func (s *SecMLRSensor) BestRoute() *Route { return bestPlaced[bool](s.active, s.verified, nil) }
 
 // OriginateData queues one payload for authenticated delivery.
 func (s *SecMLRSensor) OriginateData(payload []byte) {
-	if s.dev == nil || !s.dev.Alive() {
+	if !s.alive() {
 		return
 	}
-	if len(s.active) > 0 && s.missingVerified() == 0 {
-		if best := s.bestVerified(nil); best != nil {
+	if len(s.active) > 0 && s.active.missing(s.verified) == 0 {
+		if best := s.BestRoute(); best != nil {
 			s.sendData(payload, best, nil)
 			return
 		}
 	}
-	if len(s.queue) >= s.Params.QueueLimit {
-		s.Metrics.Inc(metrics.DroppedQueue)
-		return
-	}
-	s.queue = append(s.queue, payload)
-	if !s.discovering {
-		s.retriesLeft = s.Params.Retries
+	if s.enqueue(payload) {
 		s.startDiscovery()
 	}
 }
 
 func (s *SecMLRSensor) startDiscovery() {
-	s.discovering = true
-	s.seq++
 	// One authentication block per provisioned gateway (§6.2.1: "flooding
 	// a query packet with m destinations, i.e., all m gateways").
 	blocks := make([]rreqBlock, 0, len(s.Keys.Gateway))
 	for gw, key := range s.Keys.Gateway {
-		s.txCtr[gw]++
-		ctr := s.txCtr[gw]
-		cipher := wsncrypto.Encrypt(key, ctr, []byte{reqMarker})
-		blocks = append(blocks, rreqBlock{
-			Gateway: gw,
-			Counter: ctr,
-			Cipher:  cipher[0],
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
-		})
+		sec := s.seal(gw, key, []byte{reqMarker})
+		blocks = append(blocks, rreqBlock{Gateway: gw, Counter: sec.Counter, Cipher: sec.Cipher[0], MAC: sec.MAC})
 	}
 	// Deterministic block order (map iteration is randomized).
-	for i := 1; i < len(blocks); i++ {
-		for j := i; j > 0 && blocks[j].Gateway < blocks[j-1].Gateway; j-- {
-			blocks[j], blocks[j-1] = blocks[j-1], blocks[j]
-		}
-	}
-	req := &packet.Packet{
-		Kind:    packet.KindRReq,
-		From:    s.dev.ID(),
-		To:      packet.Broadcast,
-		Origin:  s.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     s.seq,
-		TTL:     s.Params.TTL,
-		Path:    []packet.NodeID{s.dev.ID()},
-		Payload: marshalRReqBlocks(blocks),
-	}
-	s.seen.Check(s.dev.ID(), s.seq)
-	if s.dev.Send(req) {
-		s.Metrics.Inc(metrics.RReqSent)
-	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Gateway < blocks[j].Gateway })
+	s.discover(marshalRReqBlocks(blocks))
 	s.dev.After(s.Params.ResponseWait, s.decide)
 }
 
 func (s *SecMLRSensor) decide() {
-	if !s.discovering || s.dev == nil || !s.dev.Alive() {
-		return
+	best := s.BestRoute()
+	queued, _, again := s.conclude(best)
+	if again {
+		s.startDiscovery()
 	}
-	s.discovering = false
-	best := s.bestVerified(nil)
-	if best == nil {
-		if s.retriesLeft > 0 {
-			s.retriesLeft--
-			s.startDiscovery()
-			return
-		}
-		s.Metrics.Add(metrics.DroppedNoRoute, uint64(len(s.queue)))
-		traceExpiredBatch(s.dev, len(s.queue), "no_route")
-		s.queue = nil
-		return
-	}
-	for _, p := range s.queue {
+	for _, p := range queued {
 		s.sendData(p, best, nil)
 	}
-	s.queue = nil
 }
 
-// sendData transmits payload over route r. prev carries failover state when
+// sendData transmits payload over route r. tx carries failover state when
 // this is a retransmission.
-func (s *SecMLRSensor) sendData(payload []byte, r *Route, prev *pendingTx) {
-	gw := r.Gateway
-	key, ok := s.Keys.Gateway[gw]
+func (s *SecMLRSensor) sendData(payload []byte, r *Route, tx *pendingTx) {
+	key, ok := s.Keys.Gateway[r.Gateway]
 	if !ok {
 		return
 	}
-	s.txCtr[gw]++
-	ctr := s.txCtr[gw]
-	cipher := wsncrypto.Encrypt(key, ctr, payload)
-
-	tx := prev
+	sec := s.seal(r.Gateway, key, payload)
 	if tx == nil {
 		s.seq++
 		tx = &pendingTx{seq: s.seq, payload: payload, tried: map[int]bool{}, sentAt: s.dev.Now()}
@@ -726,25 +461,17 @@ func (s *SecMLRSensor) sendData(payload []byte, r *Route, prev *pendingTx) {
 	}
 	seq := tx.seq
 	tx.tried[r.Place] = true
-
-	pkt := &packet.Packet{
+	s.send(&packet.Packet{
 		Kind:    packet.KindData,
 		From:    s.dev.ID(),  // IS
 		To:      r.NextHop(), // IR
 		Origin:  s.dev.ID(),
-		Target:  gw,
+		Target:  r.Gateway,
 		Seq:     seq,
 		TTL:     s.Params.TTL,
 		Payload: placePayload(r.Place, nil),
-		Sec: &packet.SecEnvelope{
-			Counter: ctr,
-			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
-		},
-	}
-	if s.dev.Send(pkt) {
-		s.Metrics.Inc(metrics.DataSent)
-	}
+		Sec:     sec,
+	}, metrics.DataSent)
 	if tx.timer != nil {
 		tx.timer.Stop()
 	}
@@ -755,10 +482,10 @@ func (s *SecMLRSensor) sendData(payload []byte, r *Route, prev *pendingTx) {
 // packet has not used yet, or abandon.
 func (s *SecMLRSensor) failover(seq uint32) {
 	tx, ok := s.pending[seq]
-	if !ok || s.dev == nil || !s.dev.Alive() {
+	if !ok || !s.alive() {
 		return
 	}
-	next := s.bestVerified(tx.tried)
+	next := bestPlaced(s.active, s.verified, tx.tried)
 	if next == nil {
 		delete(s.pending, seq)
 		s.Metrics.Inc(metrics.AbandonedData)
@@ -780,7 +507,11 @@ func (s *SecMLRSensor) HandleMessage(pkt *packet.Packet) {
 	}
 	switch pkt.Kind {
 	case packet.KindRReq:
-		s.handleRReq(pkt)
+		// Only re-flood: without Kij, a sensor cannot answer for a gateway,
+		// which is exactly what makes spoofed route responses impossible.
+		if pkt.Origin != s.dev.ID() && !s.seen.Check(pkt.Origin, pkt.Seq) {
+			s.relayFlood(pkt)
+		}
 	case packet.KindRRes:
 		s.handleRRes(pkt)
 	case packet.KindData:
@@ -788,41 +519,10 @@ func (s *SecMLRSensor) HandleMessage(pkt *packet.Packet) {
 	case packet.KindAck:
 		s.handleAck(pkt)
 	case packet.KindNotify:
-		s.handleNotify(pkt)
-	}
-}
-
-// handleRReq only re-floods: without Kij, a sensor cannot answer for a
-// gateway, which is exactly what makes spoofed route responses impossible.
-func (s *SecMLRSensor) handleRReq(pkt *packet.Packet) {
-	if pkt.Origin == s.dev.ID() || s.seen.Check(pkt.Origin, pkt.Seq) {
-		return
-	}
-	if pkt.TTL <= 1 {
-		return
-	}
-	fwd := *pkt
-	fwd.Path = pkt.AppendHop(s.dev.ID())
-	fwd.From = s.dev.ID()
-	fwd.TTL--
-	fwd.Hops++
-	s.sendFlood(&fwd, metrics.RReqSent)
-}
-
-// sendFlood transmits a flood rebroadcast with optional de-synchronizing
-// jitter (see Params.FloodJitter).
-func (s *SecMLRSensor) sendFlood(fwd *packet.Packet, counter metrics.Counter) {
-	if j := s.Params.FloodJitter; j > 0 {
-		delay := sim.Duration(s.dev.World().Kernel().Rand().Int63n(int64(j)))
-		s.dev.After(delay, func() {
-			if s.dev.Alive() && s.dev.Send(fwd) {
-				s.Metrics.Inc(counter)
-			}
-		})
-		return
-	}
-	if s.dev.Send(fwd) {
-		s.Metrics.Inc(counter)
+		if !s.seen.Check(pkt.Origin, pkt.Seq) {
+			s.processNotify(pkt)
+			s.relayFlood(pkt)
+		}
 	}
 }
 
@@ -842,35 +542,16 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 		suffix := append([]packet.NodeID(nil), pkt.Path[idx:]...)
 		s.table[flowKey{pkt.Target, place}] = Route{
 			Gateway: gw, Place: place, Hops: len(suffix) - 1, Path: suffix}
-		if idx == 0 {
-			return
-		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = pkt.Path[idx-1]
-		fwd.Hops++
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.RResSent)
-		}
+		s.relayResponse(pkt, idx)
 		return
 	}
 	// Response addressed to us: authenticate before believing anything.
 	key, known := s.Keys.Gateway[gw]
-	if !known || pkt.Sec == nil {
-		s.Metrics.Inc(metrics.RejectedMAC)
+	body, ok := s.open(s.Metrics, gw, key, known, pkt.Sec)
+	if !ok {
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
-		s.Metrics.Inc(metrics.RejectedMAC)
-		return
-	}
-	if !s.guard(gw).Accept(pkt.Sec.Counter) {
-		s.Metrics.Inc(metrics.RejectedReplay)
-		return
-	}
-	body := wsncrypto.Decrypt(key, pkt.Sec.Counter, pkt.Sec.Cipher)
-	secPlace, _, okBody := parseResBody(body)
-	if !okBody || secPlace != place {
+	if secPlace, _, okBody := parseResBody(body); !okBody || secPlace != place {
 		// Clear-text place field was tampered with in flight.
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
@@ -885,103 +566,42 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 
 func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 	if pkt.Target == s.dev.ID() {
-		s.deliverDownstream(pkt)
+		// A gateway-originated packet: authenticate, then deliver.
+		key, known := s.Keys.Gateway[pkt.Origin]
+		if body, ok := s.open(s.Metrics, pkt.Origin, key, known, pkt.Sec); ok && s.OnDownstream != nil {
+			s.OnDownstream(pkt.Origin, body)
+		}
 		return
 	}
 	if pkt.TTL <= 1 {
 		return
 	}
 	if len(pkt.Path) > 0 {
-		// Downstream packet in transit: follow the source route.
-		idx := indexOf(pkt.Path, s.dev.ID())
-		if idx < 0 || idx+1 >= len(pkt.Path) {
-			return
-		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = pkt.Path[idx+1]
-		fwd.TTL--
-		fwd.Hops++
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.DataSent)
-		}
+		s.followPath(pkt, metrics.DataSent) // downstream packet in transit
 		return
 	}
 	place, _, ok := parsePlacePayload(pkt.Payload)
 	if !ok {
 		return
 	}
-	r, entry := s.table[flowKey{pkt.Origin, place}]
-	if !entry {
-		return
-	}
-	// Rewrite IS/IR (§6.2.4) and forward.
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = r.NextHop()
-	fwd.TTL--
-	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
-	}
-}
-
-// deliverDownstream authenticates and delivers a gateway-originated packet.
-func (s *SecMLRSensor) deliverDownstream(pkt *packet.Packet) {
-	gw := pkt.Origin
-	key, known := s.Keys.Gateway[gw]
-	if !known || pkt.Sec == nil {
-		s.Metrics.Inc(metrics.RejectedMAC)
-		return
-	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
-		s.Metrics.Inc(metrics.RejectedMAC)
-		return
-	}
-	if !s.guard(gw).Accept(pkt.Sec.Counter) {
-		s.Metrics.Inc(metrics.RejectedReplay)
-		return
-	}
-	if s.OnDownstream != nil {
-		s.OnDownstream(gw, wsncrypto.Decrypt(key, pkt.Sec.Counter, pkt.Sec.Cipher))
+	if r, entry := s.table[flowKey{pkt.Origin, place}]; entry {
+		s.forward(pkt, r.NextHop(), metrics.DataSent) // rewrites IS/IR (§6.2.4)
 	}
 }
 
 func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
-	idx := indexOf(pkt.Path, s.dev.ID())
-	if idx < 0 || pkt.Sec == nil {
+	if pkt.Sec == nil || indexOf(pkt.Path, s.dev.ID()) < 0 {
 		return
 	}
 	if pkt.Target != s.dev.ID() {
-		if idx+1 >= len(pkt.Path) || pkt.TTL <= 1 {
-			return
-		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = pkt.Path[idx+1]
-		fwd.TTL--
-		fwd.Hops++
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.AckSent)
+		if pkt.TTL > 1 {
+			s.followPath(pkt, metrics.AckSent)
 		}
 		return
 	}
-	gw := pkt.Origin
-	key, known := s.Keys.Gateway[gw]
-	if !known {
-		s.Metrics.Inc(metrics.RejectedMAC)
-		return
-	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
-		s.Metrics.Inc(metrics.RejectedMAC)
-		return
-	}
-	if !s.guard(gw).Accept(pkt.Sec.Counter) {
-		s.Metrics.Inc(metrics.RejectedReplay)
-		return
-	}
-	body := wsncrypto.Decrypt(key, pkt.Sec.Counter, pkt.Sec.Cipher)
-	if len(body) < 4 {
+	key, known := s.Keys.Gateway[pkt.Origin]
+	body, ok := s.open(s.Metrics, pkt.Origin, key, known, pkt.Sec)
+	if !ok || len(body) < 4 {
 		return
 	}
 	seq := binary.BigEndian.Uint32(body)
@@ -990,20 +610,6 @@ func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
 			tx.timer.Stop()
 		}
 		delete(s.pending, seq)
-	}
-}
-
-func (s *SecMLRSensor) handleNotify(pkt *packet.Packet) {
-	if s.seen.Check(pkt.Origin, pkt.Seq) {
-		return
-	}
-	s.processNotify(pkt)
-	if pkt.TTL > 1 {
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.TTL--
-		fwd.Hops++
-		s.sendFlood(&fwd, metrics.NotifySent)
 	}
 }
 
@@ -1051,24 +657,15 @@ func (s *SecMLRSensor) processNotify(pkt *packet.Packet) {
 				continue
 			}
 			if n, ok := parseMLRNotify(buf.body); ok {
-				s.applyNotify(pkt.Origin, n)
+				s.active.move(pkt.Origin, n)
+				// A verified route to the new place authenticated a
+				// *different* gateway; it cannot protect data for the new
+				// tenant. Force re-verification.
+				if r, ok := s.verified[int(n.NewPlace)]; ok && r.Gateway != pkt.Origin {
+					delete(s.verified, int(n.NewPlace))
+				}
 			}
 		}
 		delete(st.buffered, interval)
-	}
-}
-
-func (s *SecMLRSensor) applyNotify(gw packet.NodeID, n mlrNotify) {
-	if n.PrevPlace != NoPlace {
-		if cur, ok := s.active[int(n.PrevPlace)]; ok && cur == gw {
-			delete(s.active, int(n.PrevPlace))
-		}
-	}
-	place := int(n.NewPlace)
-	s.active[place] = gw
-	// A verified route to this place authenticated a *different* gateway;
-	// it cannot protect data for the new tenant. Force re-verification.
-	if r, ok := s.verified[place]; ok && r.Gateway != gw {
-		delete(s.verified, place)
 	}
 }

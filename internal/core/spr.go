@@ -18,12 +18,7 @@ import (
 
 // SPRSensor is the sensor-node side of SPR.
 type SPRSensor struct {
-	Params  Params
-	Metrics metrics.Sink
-
-	dev  *node.Device
-	seen *packet.Dedupe
-	seq  uint32
+	sensor
 
 	// table holds the discovered route per gateway; best points at the
 	// entry currently used for data.
@@ -32,33 +27,20 @@ type SPRSensor struct {
 	// routeFresh marks that the next data packet must carry the path to
 	// install on-path tables (SPR step 5.1).
 	routeFresh bool
-
-	// lastHeard tracks per-gateway liveness (see advert.go); rerouting and
-	// lostAt carry a pending failover across a rediscovery when no cached
-	// alternative survived the liveness sweep.
-	lastHeard map[packet.NodeID]sim.Time
-	rerouting bool
-	lostAt    sim.Time
-
-	queue       [][]byte
-	discovering bool
-	retriesLeft int
-	responses   []Route
+	// responses collects the answers to the discovery in flight; only the
+	// originator keeps them.
+	responses []Route
 }
 
 // NewSPRSensor creates a sensor stack with the given parameters and shared
 // metrics sink.
 func NewSPRSensor(p Params, m metrics.Sink) *SPRSensor {
-	return &SPRSensor{Params: p, Metrics: m,
-		table:     make(map[packet.NodeID]Route),
-		lastHeard: make(map[packet.NodeID]sim.Time)}
+	return &SPRSensor{sensor: newSensor(p, m), table: make(map[packet.NodeID]Route)}
 }
 
 // Start implements node.Stack.
 func (s *SPRSensor) Start(dev *node.Device) {
-	s.dev = dev
-	s.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, s.Params, s.Metrics)
+	s.start(dev)
 	if iv := s.Params.AdvertInterval; iv > 0 {
 		dev.World().Kernel().Every(iv, s.sweep)
 	}
@@ -85,61 +67,30 @@ func (s *SPRSensor) Table() map[packet.NodeID]Route {
 // OriginateData queues one payload for delivery to the best gateway,
 // triggering route discovery when necessary (SPR step 1).
 func (s *SPRSensor) OriginateData(payload []byte) {
-	if s.dev == nil || !s.dev.Alive() {
+	if !s.alive() {
 		return
 	}
 	if s.best != nil {
 		s.sendData(payload)
-		return
-	}
-	if len(s.queue) >= s.Params.QueueLimit {
-		s.Metrics.Inc(metrics.DroppedQueue)
-		return
-	}
-	s.queue = append(s.queue, payload)
-	if !s.discovering {
-		s.retriesLeft = s.Params.Retries
+	} else if s.enqueue(payload) {
 		s.startDiscovery()
 	}
 }
 
 func (s *SPRSensor) startDiscovery() {
-	s.discovering = true
 	s.responses = s.responses[:0]
-	s.seq++
-	req := &packet.Packet{
-		Kind:   packet.KindRReq,
-		From:   s.dev.ID(),
-		To:     packet.Broadcast,
-		Origin: s.dev.ID(),
-		Target: packet.Broadcast, // "m destinations": any gateway
-		Seq:    s.seq,
-		TTL:    s.Params.TTL,
-		Path:   []packet.NodeID{s.dev.ID()},
-	}
-	s.seen.Check(s.dev.ID(), s.seq) // never re-forward our own flood
-	if s.dev.Send(req) {
-		s.Metrics.Inc(metrics.RReqSent)
-	}
+	s.discover(nil)
 	s.dev.After(s.Params.ResponseWait, s.decide)
 }
 
 // decide concludes a discovery window (SPR step 4).
 func (s *SPRSensor) decide() {
-	if !s.discovering || s.dev == nil || !s.dev.Alive() {
-		return
-	}
-	s.discovering = false
 	best := bestOf(s.responses)
-	if best == nil {
-		if s.retriesLeft > 0 {
-			s.retriesLeft--
-			s.startDiscovery()
-			return
-		}
-		s.Metrics.Add(metrics.DroppedNoRoute, uint64(len(s.queue)))
-		traceExpiredBatch(s.dev, len(s.queue), "no_route")
-		s.queue = nil
+	queued, found, again := s.conclude(best)
+	if again {
+		s.startDiscovery()
+	}
+	if !found {
 		return
 	}
 	s.table[best.Gateway] = *best
@@ -157,20 +108,9 @@ func (s *SPRSensor) decide() {
 			s.lastHeard[r.Gateway] = now
 		}
 	}
-	if s.rerouting {
-		// Either detector (advert expiry or, with adverts off, ARQ
-		// exhaustion) left a pending failover; this discovery completes it.
-		now := s.dev.Now()
-		s.rerouting = false
-		s.Metrics.Inc(metrics.Reroutes)
-		s.Metrics.Add(metrics.FailoverLatencyUs, uint64(now-s.lostAt))
-		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(now-s.lostAt))
-		traceReroute(s.dev, best.Gateway, "rediscovery", now-s.lostAt)
-	}
-	for _, p := range s.queue {
+	for _, p := range queued {
 		s.sendData(p)
 	}
-	s.queue = nil
 }
 
 // sweep is the periodic liveness check armed when Params.AdvertInterval is
@@ -180,48 +120,28 @@ func (s *SPRSensor) decide() {
 // expiring and the replacement being installed — bounded by one advert
 // interval, since that is the sweep period.
 func (s *SPRSensor) sweep() {
-	if s.dev == nil || !s.dev.Alive() {
+	if !s.alive() {
 		return
 	}
-	timeout := s.Params.advertTimeout()
 	now := s.dev.Now()
 	lostAt := sim.Time(-1)
 	for gw := range s.table {
-		at, ok := s.lastHeard[gw]
-		if !ok || now <= at+timeout {
-			continue // never confirmed (bootstrap) or still live
-		}
-		delete(s.table, gw)
-		delete(s.lastHeard, gw)
-		if s.best != nil && s.best.Gateway == gw {
-			lostAt = at + timeout
+		if at, dead := s.silent(gw, now); dead {
+			delete(s.table, gw)
+			delete(s.lastHeard, gw)
+			if s.best != nil && s.best.Gateway == gw {
+				lostAt = at
+			}
 		}
 	}
 	if lostAt < 0 {
 		return
 	}
-	s.best = nil
-	rs := make([]Route, 0, len(s.table))
-	for _, r := range s.table {
-		rs = append(rs, r)
-	}
-	if next := bestOf(rs); next != nil {
-		s.best = next
+	if s.best = s.bestEntry(); s.best != nil {
 		s.routeFresh = true
-		s.Metrics.Inc(metrics.Reroutes)
-		s.Metrics.Add(metrics.FailoverLatencyUs, uint64(now-lostAt))
-		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(now-lostAt))
-		traceReroute(s.dev, next.Gateway, "liveness", now-lostAt)
-		return
-	}
-	// No cached alternative: rediscover immediately instead of waiting for
-	// the next origination; credit the reroute when the discovery
-	// concludes.
-	s.rerouting = true
-	s.lostAt = lostAt
-	if !s.discovering {
-		s.retriesLeft = s.Params.Retries
-		s.startDiscovery()
+		s.credit(s.best.Gateway, "liveness", lostAt)
+	} else if s.routeLost(lostAt) {
+		s.startDiscovery() // no cached alternative: rediscover now
 	}
 }
 
@@ -229,11 +149,11 @@ func (s *SPRSensor) sweep() {
 // exhausted its ARQ retry budget sending pkt to pkt.To, so that hop is
 // treated as dead. Every cached route through it is dropped and the frame
 // is re-sent along the best surviving route when one exists. Losing the
-// active route with no alternative falls into the same rerouting/lostAt
-// state the advert sweep uses, so decide() credits exactly one reroute no
-// matter which detector — ARQ exhaustion or advert expiry — fired first.
+// active route with no alternative leaves the same pending reroute the
+// advert sweep does, so exactly one reroute is credited no matter which
+// detector — ARQ exhaustion or advert expiry — fired first.
 func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
-	if pkt.Kind != packet.KindData || s.dev == nil || !s.dev.Alive() {
+	if pkt.Kind != packet.KindData || !s.alive() {
 		return
 	}
 	dead := pkt.To
@@ -244,58 +164,47 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 		}
 	}
 	if wasBest {
-		s.best = nil
-		rs := make([]Route, 0, len(s.table))
-		for _, r := range s.table {
-			rs = append(rs, r)
-		}
-		if next := bestOf(rs); next != nil {
-			// Replacement installed the instant the loss was detected; the
-			// failover latency is zero by construction.
-			s.best = next
+		if s.best = s.bestEntry(); s.best != nil {
 			s.routeFresh = true
-			s.Metrics.Inc(metrics.Reroutes)
-			traceReroute(s.dev, dead, "link_failure", 0)
-		} else if !s.rerouting {
-			s.rerouting = true
-			s.lostAt = s.dev.Now()
-			if !s.discovering {
-				s.retriesLeft = s.Params.Retries
-				s.startDiscovery()
-			}
+			s.credit(dead, "link_failure", -1)
+		} else if !s.rerouting && s.routeLost(s.dev.Now()) {
+			s.startDiscovery()
 		}
 	}
 	// Recover the frame itself. Own data restarts on the new best route;
-	// mid-path data re-forwards from a surviving table entry. The carried
-	// path installs forwarding state downstream (step 5.2), exactly like
-	// the first packet after discovery.
+	// mid-path data re-forwards from a surviving table entry.
 	if pkt.Origin == s.dev.ID() {
 		if s.best == nil {
 			return // rediscovery in flight; this reading is lost
 		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = s.best.NextHop()
-		fwd.Target = s.best.Gateway
+		fwd := s.along(pkt, s.best)
 		fwd.TTL = s.Params.TTL
-		fwd.Path = append([]packet.NodeID(nil), s.best.Path...)
 		s.routeFresh = false
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.DataSent)
-		}
-		return
+		s.send(fwd, metrics.DataSent)
+	} else if r, ok := s.table[pkt.Target]; ok {
+		s.send(s.along(pkt, &r), metrics.DataSent)
 	}
-	r, ok := s.table[pkt.Target]
-	if !ok {
-		return // no surviving route for this flow; the frame is lost here
-	}
+}
+
+// along copies pkt onto route r from this node. The path rides along so
+// downstream tables install it, exactly like the first packet after
+// discovery (step 5.2).
+func (s *SPRSensor) along(pkt *packet.Packet, r *Route) *packet.Packet {
 	fwd := *pkt
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
+	fwd.Target = r.Gateway
 	fwd.Path = append([]packet.NodeID(nil), r.Path...)
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
+	return &fwd
+}
+
+// bestEntry returns the best route left in the table, or nil.
+func (s *SPRSensor) bestEntry() *Route {
+	rs := make([]Route, 0, len(s.table))
+	for _, r := range s.table {
+		rs = append(rs, r)
 	}
+	return bestOf(rs)
 }
 
 // bestOf picks the least-hop route; ties break toward the smaller gateway ID
@@ -334,9 +243,7 @@ func (s *SPRSensor) sendData(payload []byte) {
 		s.routeFresh = false
 	}
 	s.Metrics.RecordGenerated(s.dev.ID(), s.seq, s.dev.Now())
-	if s.dev.Send(pkt) {
-		s.Metrics.Inc(metrics.DataSent)
-	}
+	s.send(pkt, metrics.DataSent)
 }
 
 // HandleMessage implements node.Stack.
@@ -359,21 +266,11 @@ func (s *SPRSensor) HandleMessage(pkt *packet.Packet) {
 // handleNotify refreshes gateway liveness from an advert flood and
 // re-floods it (adverts are the only NOTIFY plain SPR uses).
 func (s *SPRSensor) handleNotify(pkt *packet.Packet) {
-	if _, ok := parseAdvert(pkt.Payload); !ok {
-		return
-	}
-	if pkt.Origin == s.dev.ID() || s.seen.Check(pkt.Origin, pkt.Seq) {
+	if _, ok := parseAdvert(pkt.Payload); !ok || pkt.Origin == s.dev.ID() || s.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
 	s.lastHeard[pkt.Origin] = s.dev.Now()
-	if pkt.TTL <= 1 {
-		return
-	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.TTL--
-	fwd.Hops++
-	s.sendFlood(&fwd, metrics.NotifySent)
+	s.relayFlood(pkt)
 }
 
 func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
@@ -381,78 +278,24 @@ func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
 		return
 	}
 	if s.best != nil && !s.Params.NoShortcutAnswers {
-		// Step 3.1: a node with an established route answers directly
-		// instead of re-flooding (Property 1 shortcut). The flood prefix
-		// and the cached suffix may share nodes; erase any loops.
-		full := shortcutPath(pkt.Path, s.dev.ID(), s.best.Path)
-		res := &packet.Packet{
-			Kind:   packet.KindRRes,
-			From:   s.dev.ID(),
-			To:     pkt.From,
-			Origin: s.dev.ID(),
-			Target: pkt.Origin,
-			Seq:    pkt.Seq,
-			TTL:    s.Params.TTL,
-			Path:   full,
-		}
-		if s.dev.Send(res) {
-			s.Metrics.Inc(metrics.RResSent)
-		}
+		s.shortcut(pkt, s.best.Path, nil)
 		return
 	}
-	if pkt.TTL <= 1 {
-		return
-	}
-	fwd := *pkt
-	fwd.Path = pkt.AppendHop(s.dev.ID())
-	fwd.From = s.dev.ID()
-	fwd.TTL--
-	fwd.Hops++
-	s.sendFlood(&fwd, metrics.RReqSent)
-}
-
-// sendFlood transmits a flood rebroadcast, optionally jittered to
-// de-synchronize broadcast storms on collision-prone media.
-func (s *SPRSensor) sendFlood(fwd *packet.Packet, counter metrics.Counter) {
-	if j := s.Params.FloodJitter; j > 0 {
-		delay := sim.Duration(s.dev.World().Kernel().Rand().Int63n(int64(j)))
-		s.dev.After(delay, func() {
-			if s.dev.Alive() && s.dev.Send(fwd) {
-				s.Metrics.Inc(counter)
-			}
-		})
-		return
-	}
-	if s.dev.Send(fwd) {
-		s.Metrics.Inc(counter)
-	}
+	s.relayFlood(pkt)
 }
 
 func (s *SPRSensor) handleRRes(pkt *packet.Packet) {
-	if pkt.Target == s.dev.ID() {
-		if !s.discovering || len(pkt.Path) < 2 {
-			return
-		}
-		gw := pkt.Path[len(pkt.Path)-1]
+	if pkt.Target != s.dev.ID() {
+		s.relayResponse(pkt, indexOf(pkt.Path, s.dev.ID()))
+		return
+	}
+	if s.discovering && len(pkt.Path) >= 2 {
 		s.responses = append(s.responses, Route{
-			Gateway: gw,
+			Gateway: pkt.Path[len(pkt.Path)-1],
 			Place:   -1,
 			Hops:    len(pkt.Path) - 1,
 			Path:    append([]packet.NodeID(nil), pkt.Path...),
 		})
-		return
-	}
-	// Forward the response toward its target along the recorded path.
-	idx := indexOf(pkt.Path, s.dev.ID())
-	if idx <= 0 {
-		return
-	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = pkt.Path[idx-1]
-	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.RResSent)
 	}
 }
 
@@ -461,21 +304,19 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 		return // sensors are not data sinks; stop mis-addressed traffic
 	}
 	if pkt.TTL <= 1 {
-		s.Metrics.Inc(metrics.ForwardTTLExpired)
-		traceExpired(s.dev, pkt, "ttl")
+		s.drop(pkt, metrics.ForwardTTLExpired, "ttl")
 		return
 	}
 	if len(pkt.Path) > 0 {
-		// First packet of a flow: install the suffix route (step 5.2,
-		// justified by Property 1) and forward along the carried path.
-		idx := indexOf(pkt.Path, s.dev.ID())
-		if idx < 0 || idx+1 >= len(pkt.Path) {
-			s.Metrics.Inc(metrics.ForwardSelfLoop)
-			traceExpired(s.dev, pkt, "self_loop")
+		// First packet of a flow: forward along the carried path and
+		// install the suffix route (step 5.2, justified by Property 1).
+		idx := s.followPath(pkt, metrics.DataSent)
+		if idx < 0 {
+			s.drop(pkt, metrics.ForwardSelfLoop, "self_loop")
 			return
 		}
-		suffix := append([]packet.NodeID(nil), pkt.Path[idx:]...)
-		r := Route{Gateway: pkt.Target, Place: -1, Hops: len(suffix) - 1, Path: suffix}
+		r := Route{Gateway: pkt.Target, Place: -1, Hops: len(pkt.Path) - 1 - idx,
+			Path: append([]packet.NodeID(nil), pkt.Path[idx:]...)}
 		if old, ok := s.table[pkt.Target]; !ok || r.Hops < old.Hops {
 			s.table[pkt.Target] = r
 			if s.best == nil || r.Hops < s.best.Hops {
@@ -488,33 +329,13 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 			// of life until the advert deadline says otherwise.
 			s.lastHeard[pkt.Target] = s.dev.Now()
 		}
-		fwd := *pkt
-		fwd.From = s.dev.ID()
-		fwd.To = pkt.Path[idx+1]
-		fwd.TTL--
-		fwd.Hops++
-		if s.dev.Send(&fwd) {
-			s.Metrics.Inc(metrics.DataSent)
-		}
 		return
 	}
 	// Path-less packet: forward from the local table (step 5.3).
-	r, ok := s.table[pkt.Target]
-	if !ok {
-		if s.Params.LinkRetries > 0 && s.redirectData(pkt) {
-			return
-		}
-		s.Metrics.Inc(metrics.ForwardNoEntry)
-		traceExpired(s.dev, pkt, "no_entry")
-		return
-	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = r.NextHop()
-	fwd.TTL--
-	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
+	if r, ok := s.table[pkt.Target]; ok {
+		s.forward(pkt, r.NextHop(), metrics.DataSent)
+	} else if s.Params.LinkRetries <= 0 || !s.redirectData(pkt) {
+		s.drop(pkt, metrics.ForwardNoEntry, "no_entry")
 	}
 }
 
@@ -525,85 +346,23 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 // upstream hop had its frame link-acknowledged by us, so dropping it here
 // would be a silent blackhole no end-to-end mechanism ever notices.
 func (s *SPRSensor) redirectData(pkt *packet.Packet) bool {
-	rs := make([]Route, 0, len(s.table))
-	for _, r := range s.table {
-		rs = append(rs, r)
-	}
-	r := bestOf(rs)
+	r := s.bestEntry()
 	if r == nil {
 		return false
 	}
-	fwd := *pkt
-	fwd.From = s.dev.ID()
-	fwd.To = r.NextHop()
-	fwd.Target = r.Gateway
-	fwd.Path = append([]packet.NodeID(nil), r.Path...)
+	fwd := s.along(pkt, r)
 	fwd.TTL--
 	fwd.Hops++
-	if s.dev.Send(&fwd) {
-		s.Metrics.Inc(metrics.DataSent)
-		return true
-	}
-	return false
-}
-
-func indexOf(path []packet.NodeID, id packet.NodeID) int {
-	for i, p := range path {
-		if p == id {
-			return i
-		}
-	}
-	return -1
+	return s.send(fwd, metrics.DataSent)
 }
 
 // SPRGateway is the gateway (WMG) side of SPR: it answers route queries and
 // absorbs data, optionally relaying it up the mesh backbone.
-type SPRGateway struct {
-	Params  Params
-	Metrics metrics.Sink
-	// Uplink, when set, receives every delivered data packet (the mesh
-	// layer hooks in here).
-	Uplink func(origin packet.NodeID, seq uint32, payload []byte)
-
-	dev       *node.Device
-	seen      *packet.Dedupe
-	advertSeq uint32
-}
+type SPRGateway struct{ gateway }
 
 // NewSPRGateway creates a gateway stack.
 func NewSPRGateway(p Params, m metrics.Sink) *SPRGateway {
-	return &SPRGateway{Params: p, Metrics: m}
-}
-
-// Start implements node.Stack.
-func (g *SPRGateway) Start(dev *node.Device) {
-	g.dev = dev
-	g.seen = packet.NewDedupe(1 << 14)
-	enableARQ(dev, g.Params, g.Metrics)
-	if iv := g.Params.AdvertInterval; iv > 0 {
-		startAdverts(dev, iv, g.sendAdvert)
-	}
-}
-
-// sendAdvert floods one liveness beacon (see advert.go).
-func (g *SPRGateway) sendAdvert() {
-	if g.dev == nil || !g.dev.Alive() {
-		return
-	}
-	g.advertSeq++
-	pkt := &packet.Packet{
-		Kind:    packet.KindNotify,
-		From:    g.dev.ID(),
-		To:      packet.Broadcast,
-		Origin:  g.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     g.advertSeq,
-		TTL:     g.Params.TTL,
-		Payload: marshalAdvert(-1),
-	}
-	if g.dev.Send(pkt) {
-		g.Metrics.Inc(metrics.AdvertSent)
-	}
+	return &SPRGateway{newGateway(p, m)}
 }
 
 // HandleMessage implements node.Stack.
@@ -613,30 +372,10 @@ func (g *SPRGateway) HandleMessage(pkt *packet.Packet) {
 	}
 	switch pkt.Kind {
 	case packet.KindRReq:
-		if g.seen.Check(pkt.Origin, pkt.Seq) {
-			return
-		}
-		full := pkt.AppendHop(g.dev.ID())
-		res := &packet.Packet{
-			Kind:   packet.KindRRes,
-			From:   g.dev.ID(),
-			To:     pkt.From,
-			Origin: g.dev.ID(),
-			Target: pkt.Origin,
-			Seq:    pkt.Seq,
-			TTL:    g.Params.TTL,
-			Path:   full,
-		}
-		if g.dev.Send(res) {
-			g.Metrics.Inc(metrics.RResSent)
-		}
+		g.answer(pkt)
 	case packet.KindData:
-		if pkt.Target != g.dev.ID() {
-			return
-		}
-		g.Metrics.RecordDelivered(pkt.Origin, pkt.Seq, g.dev.ID(), int(pkt.Hops)+1, g.dev.Now())
-		if g.Uplink != nil {
-			g.Uplink(pkt.Origin, pkt.Seq, pkt.Payload)
+		if pkt.Target == g.dev.ID() {
+			g.deliver(pkt, pkt.Payload)
 		}
 	}
 }
