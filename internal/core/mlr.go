@@ -520,8 +520,7 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		}
 		return
 	}
-	if pkt.TTL <= 1 {
-		s.drop(pkt, metrics.ForwardTTLExpired, "ttl")
+	if s.expired(pkt) {
 		return
 	}
 	if len(pkt.Path) > 0 {
@@ -534,11 +533,13 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 	}
 	r, entry := s.table[place]
 	if !entry {
-		if s.Params.LinkRetries > 0 && !s.redirectData(pkt, body, true) {
-			s.drop(pkt, metrics.ForwardNoEntry, "no_entry")
-			if s.idle() {
-				s.startDiscovery()
-			}
+		arq := s.Params.LinkRetries > 0
+		if arq && s.redirectData(pkt, body, true) {
+			return
+		}
+		s.drop(pkt, metrics.ForwardNoEntry, "no_entry")
+		if arq && s.idle() {
+			s.startDiscovery()
 		}
 		return
 	}

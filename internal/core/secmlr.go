@@ -573,7 +573,7 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 		}
 		return
 	}
-	if pkt.TTL <= 1 {
+	if s.expired(pkt) {
 		return
 	}
 	if len(pkt.Path) > 0 {
@@ -584,8 +584,12 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 	if !ok {
 		return
 	}
+	// Relays never redirect: the source's ACK failover recovers a frame
+	// lost for want of an entry.
 	if r, entry := s.table[flowKey{pkt.Origin, place}]; entry {
 		s.forward(pkt, r.NextHop(), metrics.DataSent) // rewrites IS/IR (§6.2.4)
+	} else {
+		s.drop(pkt, metrics.ForwardNoEntry, "no_entry")
 	}
 }
 

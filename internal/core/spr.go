@@ -300,19 +300,14 @@ func (s *SPRSensor) handleRRes(pkt *packet.Packet) {
 }
 
 func (s *SPRSensor) handleData(pkt *packet.Packet) {
-	if pkt.Target == s.dev.ID() {
+	if pkt.Target == s.dev.ID() || s.expired(pkt) {
 		return // sensors are not data sinks; stop mis-addressed traffic
-	}
-	if pkt.TTL <= 1 {
-		s.drop(pkt, metrics.ForwardTTLExpired, "ttl")
-		return
 	}
 	if len(pkt.Path) > 0 {
 		// First packet of a flow: forward along the carried path and
 		// install the suffix route (step 5.2, justified by Property 1).
 		idx := s.followPath(pkt, metrics.DataSent)
 		if idx < 0 {
-			s.drop(pkt, metrics.ForwardSelfLoop, "self_loop")
 			return
 		}
 		r := Route{Gateway: pkt.Target, Place: -1, Hops: len(pkt.Path) - 1 - idx,

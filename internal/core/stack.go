@@ -249,17 +249,32 @@ func (s *sensor) forward(pkt *packet.Packet, to packet.NodeID, c metrics.Counter
 
 // followPath forwards a source-routed frame to the node after this one on
 // its carried path and returns this node's index on it, or -1 when this
-// node is not on the path or ends it.
+// node is not on the path or ends it; a DATA frame lost that way is
+// counted as malformed.
 func (s *sensor) followPath(pkt *packet.Packet, c metrics.Counter) int {
 	idx := indexOf(pkt.Path, s.dev.ID())
 	if idx < 0 || idx+1 >= len(pkt.Path) {
+		if pkt.Kind == packet.KindData {
+			s.drop(pkt, metrics.ForwardSelfLoop, "self_loop")
+		}
 		return -1
 	}
 	s.forward(pkt, pkt.Path[idx+1], c)
 	return idx
 }
 
-// drop counts a relayed DATA frame lost here under c and traces why.
+// expired reports whether a DATA frame in transit has spent its hop budget
+// here, counting the drop.
+func (s *sensor) expired(pkt *packet.Packet) bool {
+	if pkt.TTL > 1 {
+		return false
+	}
+	s.drop(pkt, metrics.ForwardTTLExpired, "ttl")
+	return true
+}
+
+// drop counts a DATA frame in transit lost here under c and traces why.
+// Every relay drop is counted, whichever protocol runs.
 func (s *sensor) drop(pkt *packet.Packet, c metrics.Counter, why string) {
 	s.Metrics.Inc(c)
 	traceExpired(s.dev, pkt, why)
