@@ -13,7 +13,7 @@ import (
 // gateways flood a tiny NOTIFY-framed beacon every interval; sensors track
 // when each gateway was last heard (adverts, movement notifications and
 // fresh route answers all count) and run a periodic sweep that drops routes
-// through gateways whose liveness deadline — AdvertDeadFactor intervals
+// through gateways whose liveness deadline — advertDeadFactor intervals
 // after the last proof of life — has passed, then fail over to the
 // next-best live entry. The whole mechanism is inert at the default
 // AdvertInterval of 0: no timers are armed, no randomness is drawn, and
@@ -50,15 +50,12 @@ func parseAdvert(b []byte) (place int, ok bool) {
 	return int(p), true
 }
 
-// advertTimeout returns the liveness deadline offset: AdvertDeadFactor
-// (default 2) advert intervals.
-func (p Params) advertTimeout() sim.Duration {
-	f := p.AdvertDeadFactor
-	if f <= 0 {
-		f = 2
-	}
-	return sim.Duration(f) * p.AdvertInterval
-}
+// advertDeadFactor times Params.AdvertInterval is the gateway liveness
+// timeout: a gateway is presumed dead after missing two adverts.
+const advertDeadFactor = 2
+
+// advertTimeout returns the liveness deadline offset.
+func (p Params) advertTimeout() sim.Duration { return advertDeadFactor * p.AdvertInterval }
 
 // startAdverts arms the periodic liveness beacon on a gateway device. The
 // first advert goes out at a random fraction of the interval so co-located

@@ -30,9 +30,6 @@ import (
 type Params struct {
 	// TTL is the initial hop budget for flooded packets.
 	TTL uint8
-	// ResponseWait is how long a sensor collects RRES packets before
-	// choosing the best gateway.
-	ResponseWait sim.Duration
 	// GatewayWait is how long a SecMLR gateway collects alternative RREQ
 	// paths before answering (§6.2.2 "waits a given timeout to collect
 	// multiple path information").
@@ -45,9 +42,6 @@ type Params struct {
 	// AckWait is how long a SecMLR source waits for the gateway's ACK
 	// before failing over to its next-best route.
 	AckWait sim.Duration
-	// DiscloseDelay is how long a SecMLR gateway waits after a TESLA
-	// announcement before disclosing the interval key.
-	DiscloseDelay sim.Duration
 	// NoShortcutAnswers disables the Property-1 optimization (cached-route
 	// nodes answering RREQs, SPR/MLR step 3.1) so every query is answered
 	// by a real gateway. Ablation knob.
@@ -75,9 +69,6 @@ type Params struct {
 	// attached. SecMLR ignores it — its ACK-driven failover already covers
 	// gateway loss.
 	AdvertInterval sim.Duration
-	// AdvertDeadFactor times AdvertInterval is the gateway liveness
-	// timeout; 0 selects 2.
-	AdvertDeadFactor int
 	// LinkRetries, when positive, enables hop-by-hop link-layer ARQ on
 	// every device running this protocol: unicast DATA frames are
 	// acknowledged per hop and retransmitted up to LinkRetries times with
@@ -97,14 +88,12 @@ type Params struct {
 // DefaultParams returns sensible defaults for the simulated radios.
 func DefaultParams() Params {
 	return Params{
-		TTL:           32,
-		ResponseWait:  300 * sim.Millisecond,
-		GatewayWait:   60 * sim.Millisecond,
-		Retries:       2,
-		QueueLimit:    64,
-		AckWait:       500 * sim.Millisecond,
-		DiscloseDelay: 100 * sim.Millisecond,
-		LinkAckWait:   10 * sim.Millisecond, // inert while LinkRetries == 0
+		TTL:         32,
+		GatewayWait: 60 * sim.Millisecond,
+		Retries:     2,
+		QueueLimit:  64,
+		AckWait:     500 * sim.Millisecond,
+		LinkAckWait: 10 * sim.Millisecond, // inert while LinkRetries == 0
 	}
 }
 

@@ -414,7 +414,7 @@ func (s *MLRSensor) OriginateData(payload []byte) {
 
 func (s *MLRSensor) startDiscovery() {
 	s.discover(nil)
-	s.dev.After(s.Params.ResponseWait, s.decide)
+	s.dev.After(responseWait, s.decide)
 }
 
 func (s *MLRSensor) decide() {

@@ -32,6 +32,10 @@ import (
 //     a source missing its ACK fails over to another route (the paper's
 //     multi-entry fault tolerance, §8).
 
+// discloseDelay is how long a SecMLR gateway waits after a TESLA
+// announcement before disclosing the interval key.
+const discloseDelay = 100 * sim.Millisecond
+
 const (
 	notifyAnnounce byte = 0
 	notifyDisclose byte = 1
@@ -133,7 +137,7 @@ func (g *SecMLRGateway) Start(dev *node.Device) { g.start(dev) }
 func (g *SecMLRGateway) Place() int { return g.place }
 
 // SetPlace implements PlacedGateway: announce the move with a µTESLA-
-// authenticated NOTIFY, disclosing the interval key after DiscloseDelay.
+// authenticated NOTIFY, disclosing the interval key after discloseDelay.
 func (g *SecMLRGateway) SetPlace(place, round int, moved bool) {
 	n := g.moveTo(place, round)
 	if !moved {
@@ -151,7 +155,7 @@ func (g *SecMLRGateway) SetPlace(place, round int, moved bool) {
 	g.flood(payload, metrics.NotifySent)
 
 	key := g.Keys.Tesla.KeyAt(interval)
-	g.dev.After(g.Params.DiscloseDelay, func() {
+	g.dev.After(discloseDelay, func() {
 		disc := make([]byte, 0, 1+2+len(key))
 		disc = append(disc, notifyDisclose)
 		disc = binary.BigEndian.AppendUint16(disc, uint16(interval))
@@ -431,7 +435,7 @@ func (s *SecMLRSensor) startDiscovery() {
 	// Deterministic block order (map iteration is randomized).
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Gateway < blocks[j].Gateway })
 	s.discover(marshalRReqBlocks(blocks))
-	s.dev.After(s.Params.ResponseWait, s.decide)
+	s.dev.After(responseWait, s.decide)
 }
 
 func (s *SecMLRSensor) decide() {

@@ -80,7 +80,7 @@ func (s *SPRSensor) OriginateData(payload []byte) {
 func (s *SPRSensor) startDiscovery() {
 	s.responses = s.responses[:0]
 	s.discover(nil)
-	s.dev.After(s.Params.ResponseWait, s.decide)
+	s.dev.After(responseWait, s.decide)
 }
 
 // decide concludes a discovery window (SPR step 4).

@@ -97,8 +97,13 @@ func (s *sensor) idle() bool {
 	return true
 }
 
+// responseWait is how long a sensor collects route responses before
+// choosing the best gateway.
+const responseWait = 300 * sim.Millisecond
+
 // discover floods a route request carrying payload toward every gateway
-// ("m destinations", SPR step 1); the caller arms its decision timer.
+// ("m destinations", SPR step 1); the caller arms its decision timer to
+// fire after responseWait.
 func (s *sensor) discover(payload []byte) {
 	s.discovering = true
 	s.seq++
