@@ -140,7 +140,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
 	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzSecMLRGatewayInput -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s ./internal/geom/
 
 # Simulation-as-a-service daemon: build the binary, then the endpoint,
