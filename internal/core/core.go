@@ -12,8 +12,9 @@
 //     multi-route fault tolerance.
 //
 // Each protocol is a pair of node.Stack implementations (sensor side and
-// gateway side) plus shared plumbing in this file: protocol parameters,
-// routing-table types and the metrics sink every experiment reads.
+// gateway side) built on one shared routing machine (stack.go), plus
+// shared plumbing in this file: protocol parameters, routing-table types
+// and the metrics sink every experiment reads.
 package core
 
 import (

@@ -99,11 +99,11 @@ func newPairwise() pairwise {
 
 // seal protects body for peer under key: the next freshness counter C,
 // then {body}<K,C>, then MAC(K, C|cipher).
-func (c *pairwise) seal(peer packet.NodeID, key wsncrypto.Key, body []byte) *packet.SecEnvelope {
+func (c *pairwise) seal(peer packet.NodeID, key wsncrypto.Key, body []byte) packet.SecEnvelope {
 	c.txCtr[peer]++
 	ctr := c.txCtr[peer]
 	cipher := wsncrypto.Encrypt(key, ctr, body)
-	return &packet.SecEnvelope{Counter: ctr, Cipher: cipher, MAC: wsncrypto.Sum(key, ctr, cipher)}
+	return packet.SecEnvelope{Counter: ctr, Cipher: cipher, MAC: wsncrypto.Sum(key, ctr, cipher)}
 }
 
 // open accepts a sealed envelope from peer — MAC first, then the freshness

@@ -139,7 +139,8 @@ func bestPlaced[V any](active places, table map[int]Route, skip map[int]V) *Rout
 			continue
 		}
 		if r, ok := table[p]; ok && (best == nil || r.Hops < best.Hops || (r.Hops == best.Hops && r.Place < best.Place)) {
-			best = &r
+			rr := r
+			best = &rr
 		}
 	}
 	return best
@@ -199,9 +200,14 @@ func (g *MLRGateway) HandleMessage(pkt *packet.Packet) {
 	}
 	switch pkt.Kind {
 	case packet.KindRReq:
-		if g.place >= 0 {
-			g.answer(pkt)
+		// Answer the first copy with the place and the flood's path
+		// extended by this gateway, keeping the path for downstream sends.
+		if g.place < 0 || g.seen.Check(pkt.Origin, pkt.Seq) {
+			return
 		}
+		path := pkt.AppendHop(g.dev.ID())
+		g.paths[pkt.Origin] = path
+		g.respond(pkt.From, pkt.Origin, pkt.Seq, path, placePayload(g.place, nil), nil)
 	case packet.KindData:
 		if pkt.Target != g.dev.ID() {
 			return

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"wmsn/internal/metrics"
 	"wmsn/internal/node"
@@ -236,7 +237,7 @@ func (g *SecMLRGateway) respondShortest(origin packet.NodeID, seq uint32) {
 	}
 	g.paths[origin] = best
 	sec := g.seal(origin, g.Keys.Sensor[origin], resBody(g.place, g.round))
-	g.respond(best[len(best)-2], origin, seq, best, placePayload(g.place, nil), sec)
+	g.respond(best[len(best)-2], origin, seq, best, placePayload(g.place, nil), &sec)
 }
 
 func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
@@ -260,7 +261,7 @@ func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
 	if rev := g.downPath(pkt.Origin); rev != nil {
 		seqBuf := binary.BigEndian.AppendUint32(nil, pkt.Seq)
 		sec := g.seal(pkt.Origin, g.Keys.Sensor[pkt.Origin], seqBuf)
-		g.sendDown(&packet.Packet{Kind: packet.KindAck, Target: pkt.Origin, Seq: pkt.Seq, Payload: seqBuf, Sec: sec},
+		g.sendDown(&packet.Packet{Kind: packet.KindAck, Target: pkt.Origin, Seq: pkt.Seq, Payload: seqBuf, Sec: &sec},
 			rev, metrics.AckSent)
 	}
 }
@@ -276,7 +277,7 @@ func (g *SecMLRGateway) SendToSensor(sensor packet.NodeID, payload []byte) bool 
 	}
 	sec := g.seal(sensor, key, payload)
 	g.seq++
-	return g.sendDown(&packet.Packet{Kind: packet.KindData, Target: sensor, Seq: g.seq, Sec: sec},
+	return g.sendDown(&packet.Packet{Kind: packet.KindData, Target: sensor, Seq: g.seq, Sec: &sec},
 		rev, metrics.DataSent)
 }
 
@@ -433,7 +434,7 @@ func (s *SecMLRSensor) startDiscovery() {
 		blocks = append(blocks, rreqBlock{Gateway: gw, Counter: sec.Counter, Cipher: sec.Cipher[0], MAC: sec.MAC})
 	}
 	// Deterministic block order (map iteration is randomized).
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Gateway < blocks[j].Gateway })
+	slices.SortFunc(blocks, func(a, b rreqBlock) int { return cmp.Compare(a.Gateway, b.Gateway) })
 	s.discover(marshalRReqBlocks(blocks))
 	s.dev.After(responseWait, s.decide)
 }
@@ -474,7 +475,7 @@ func (s *SecMLRSensor) sendData(payload []byte, r *Route, tx *pendingTx) {
 		Seq:     seq,
 		TTL:     s.Params.TTL,
 		Payload: placePayload(r.Place, nil),
-		Sec:     sec,
+		Sec:     &sec,
 	}, metrics.DataSent)
 	if tx.timer != nil {
 		tx.timer.Stop()

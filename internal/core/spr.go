@@ -367,7 +367,11 @@ func (g *SPRGateway) HandleMessage(pkt *packet.Packet) {
 	}
 	switch pkt.Kind {
 	case packet.KindRReq:
-		g.answer(pkt)
+		// Answer the first copy with the flood's path extended by this
+		// gateway (step 3).
+		if !g.seen.Check(pkt.Origin, pkt.Seq) {
+			g.respond(pkt.From, pkt.Origin, pkt.Seq, pkt.AppendHop(g.dev.ID()), nil, nil)
+		}
 	case packet.KindData:
 		if pkt.Target == g.dev.ID() {
 			g.deliver(pkt, pkt.Payload)

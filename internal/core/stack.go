@@ -351,22 +351,6 @@ func (g *gateway) moveTo(place, round int) mlrNotify {
 	return mlrNotify{NewPlace: uint16(place), PrevPlace: prev, Round: uint16(round)}
 }
 
-// answer replies to the first copy of a route request with the flood's
-// path extended by this gateway (SPR/MLR step 3). A placed gateway names
-// its place in the response and keeps the path for downstream sends.
-func (g *gateway) answer(pkt *packet.Packet) {
-	if g.seen.Check(pkt.Origin, pkt.Seq) {
-		return
-	}
-	path := pkt.AppendHop(g.dev.ID())
-	var payload []byte
-	if g.place >= 0 {
-		g.paths[pkt.Origin] = path
-		payload = placePayload(g.place, nil)
-	}
-	g.respond(pkt.From, pkt.Origin, pkt.Seq, path, payload, nil)
-}
-
 // respond sends the route response to origin's request seq back along path
 // (origin ... this gateway), handing it first to hop to.
 func (g *gateway) respond(to, origin packet.NodeID, seq uint32, path []packet.NodeID, payload []byte, sec *packet.SecEnvelope) {
