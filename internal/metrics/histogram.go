@@ -156,10 +156,9 @@ func (h *Hist) Max() uint64 {
 }
 
 // Percentile returns the p-th percentile (p in [0,100], clamped; NaN maps to
-// 0). The rank convention matches Memory.LatencyPercentile: rank =
-// floor(p/100 * (count-1)). The returned value is the upper bound of the
-// bucket holding that rank, clamped to [Min, Max], so it is exact for values
-// below 8 and overestimates by at most 12.5% otherwise.
+// 0). The rank is floor(p/100 * (count-1)). The returned value is the upper
+// bound of the bucket holding that rank, clamped to [Min, Max], so it is
+// exact for values below 8 and overestimates by at most 12.5% otherwise.
 func (h *Hist) Percentile(p float64) uint64 {
 	if h.count == 0 {
 		return 0

@@ -159,9 +159,8 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemoryHistogramMerge checks that merging Memories folds histograms and
-// that LatencyPercentile falls back to the histogram when the exact per-run
-// samples are absent (the merged-aggregate path).
+// TestMemoryHistogramMerge checks that merging Memories folds histograms:
+// count, sum and extremes add up across the merged runs.
 func TestMemoryHistogramMerge(t *testing.T) {
 	a, b := New(), New()
 	a.Observe(HistFailoverLatencyUs, 1000)

@@ -14,8 +14,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"wmsn/internal/obs"
 	"wmsn/internal/packet"
@@ -195,8 +193,6 @@ type Memory struct {
 	AttackerInjected uint64 // packets forged or replayed onto the air by adversary stacks
 
 	pending    map[floodKey]pendingData
-	latencies  []sim.Duration // per-run exact samples; NOT carried across Merge
-	latSorted  bool           // latencies is already ascending (sorted at most once)
 	hopsSum    uint64         // exact hop-count sum over fresh deliveries
 	hopsN      uint64         // fresh deliveries contributing to hopsSum
 	hists      [numHists]Hist // fixed-memory mergeable distributions
@@ -368,10 +364,7 @@ func (m *Memory) RecordDelivered(origin packet.NodeID, seq uint32, gw packet.Nod
 	m.hopsSum += uint64(hops)
 	m.hopsN++
 	if p, ok := m.pending[k]; ok {
-		lat := now - p.at
-		m.latencies = append(m.latencies, lat)
-		m.latSorted = false
-		m.hists[HistDeliveryLatencyUs].Observe(uint64(lat))
+		m.hists[HistDeliveryLatencyUs].Observe(uint64(now - p.at))
 		delete(m.pending, k)
 	}
 	m.progress.AddDeliveries(1)
@@ -414,8 +407,7 @@ func (m *Memory) MeanHops() float64 {
 }
 
 // MeanLatency returns the average origination-to-delivery latency. The
-// delivery histogram carries the exact sum and count, so the mean is exact
-// even on merged aggregates that no longer hold raw samples.
+// delivery histogram carries the exact sum and count, so the mean is exact.
 func (m *Memory) MeanLatency() sim.Duration {
 	h := &m.hists[HistDeliveryLatencyUs]
 	if h.count == 0 {
@@ -424,41 +416,14 @@ func (m *Memory) MeanLatency() sim.Duration {
 	return sim.Duration(h.sum / h.count)
 }
 
-// LatencyPercentile returns the p-th percentile latency. p is clamped to
-// [0, 100]: p <= 0 (and NaN) return the minimum sample, p >= 100 the
-// maximum. The zero duration is returned when nothing has been delivered.
-//
-// A per-run Memory still holds every raw sample, so the answer is exact: the
-// slice is sorted in place at most once and reused across p50/p95/p99 reads.
-// A merged aggregate (Merge drops raw samples to keep memory fixed) answers
-// from the delivery histogram, exact to within its 12.5% bucket width.
+// LatencyPercentile returns the p-th percentile latency from the delivery
+// histogram: p is clamped to [0, 100], p <= 0 (and NaN) return the minimum
+// sample and p >= 100 the maximum, both exact; other ranks are exact to
+// within the histogram's 12.5% bucket width (see Hist.Percentile). The zero
+// duration is returned when nothing has been delivered. Per-run and merged
+// metrics answer the same way.
 func (m *Memory) LatencyPercentile(p float64) sim.Duration {
-	h := &m.hists[HistDeliveryLatencyUs]
-	if h.count == 0 {
-		return 0
-	}
-	if uint64(len(m.latencies)) != h.count {
-		return sim.Duration(h.Percentile(p))
-	}
-	if !m.latSorted {
-		sort.Slice(m.latencies, func(i, j int) bool { return m.latencies[i] < m.latencies[j] })
-		m.latSorted = true
-	}
-	ls := m.latencies
-	if math.IsNaN(p) || p <= 0 {
-		return ls[0]
-	}
-	if p >= 100 {
-		return ls[len(ls)-1]
-	}
-	idx := int(p / 100 * float64(len(ls)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ls) {
-		idx = len(ls) - 1
-	}
-	return ls[idx]
+	return sim.Duration(m.hists[HistDeliveryLatencyUs].Percentile(p))
 }
 
 // DeliveredFrom returns how many distinct packets claiming the given origin
@@ -523,10 +488,9 @@ func (m *Memory) ControlPackets() uint64 {
 }
 
 // Merge folds another run's totals into m: counters are summed, histograms
-// merged bucket-wise, hop sums and per-gateway deliveries added per key. Raw
-// latency samples are deliberately NOT appended — aggregates answer
-// percentile queries from the fixed-memory histograms, so merged state stays
-// bounded no matter how many runs fold in. The per-packet dedup state
+// merged bucket-wise, hop sums and per-gateway deliveries added per key.
+// Latency percentiles come from the fixed-memory histograms, so merged
+// state stays bounded no matter how many runs fold in. The per-packet dedup state
 // (pending/delivered keys) is also not merged — (origin, seq) pairs collide
 // across independent runs, so only aggregate counts are meaningful across
 // run boundaries. Histogram merging is commutative and associative, so any
