@@ -134,8 +134,9 @@ faults:
 soak:
 	$(GO) test -race -v -run 'Soak|InvariantViolation' ./internal/chaos/ -soak.trials=16
 
-# Short fuzzing pass over every wire-format parser and the incremental
-# spatial grid, which fills every radio receiver list.
+# Short fuzzing pass over every wire-format parser, the attached SPR, MLR
+# and SecMLR stacks, and the incremental spatial grid, which fills every
+# radio receiver list.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
 	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s ./internal/core/
