@@ -1,0 +1,77 @@
+//go:build !race
+
+// The race detector allocates for its own bookkeeping, and not the same
+// amount from run to run, so the pins are not built under -race.
+
+package wmsn_test
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"wmsn"
+)
+
+// TestEndToEndAllocsPinned pins the heap allocations of the end-to-end
+// benchmark workloads over seeds 1-8. Each pin is the highest count and
+// each spread the distance down to the lowest seen on go1.24.0 linux/amd64
+// in over 1,300 processes (1,800 for SecMLR): run alone, after the other
+// workloads, with -count=20 and with -cpu 1,4. Every map gets its own
+// random hash seed, so map growth, and with it the count, varies a little
+// from run to run.
+//
+// A count above its pin is a regression. A count below pin-spread means
+// allocations were removed: lower the pin, re-measure the spread over many
+// processes, and say so in CHANGES.md. Read the counts with
+// go test -count=1 -run EndToEndAllocsPinned -v .
+func TestEndToEndAllocsPinned(t *testing.T) {
+	for _, p := range []struct {
+		name        string
+		cfg         func(seed int64) wmsn.Config
+		pin, spread uint64
+	}{
+		{"spr", sprWorkload, 303_436, 3},
+		{"secmlr", secMLRWorkload, 1_150_547, 138},
+		{"arq-on", arqWorkload(0), 332_209, 1},
+		{"arq-on-lossy", arqWorkload(0.2), 272_363, 2},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			got := seedSetMallocs(t, p.cfg)
+			t.Logf("%d allocations (pin %d, spread %d, %s)", got, p.pin, p.spread, runtime.Version())
+			switch {
+			case got > p.pin:
+				t.Errorf("%d allocations over seeds 1-8, above the pin %d (%s)", got, p.pin, runtime.Version())
+			case got+p.spread < p.pin:
+				t.Errorf("%d allocations over seeds 1-8, below the pin %d by more than its spread %d (%s): lower the pin",
+					got, p.pin, p.spread, runtime.Version())
+			}
+		})
+	}
+}
+
+// seedSetMallocs counts the heap allocations of one pass over seeds 1-8 of
+// cfg. A warm-up pass over the same seeds comes first, so the run-arena
+// pool and every lazily built table are filled. Both passes run on one P:
+// a sync.Pool keeps its last item in a per-P slot that no other P takes
+// from, so a warm arena left on another P would be rebuilt. The measured
+// pass runs with the collector off, so no collection empties the pool
+// halfway.
+func seedSetMallocs(t *testing.T, cfg func(seed int64) wmsn.Config) uint64 {
+	t.Helper()
+	pass := func() {
+		for seed := int64(1); seed <= 8; seed++ {
+			if res := wmsn.Run(cfg(seed)); res.Metrics.Delivered == 0 {
+				t.Fatalf("seed %d delivered nothing", seed)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -153,13 +154,30 @@ func dedupeWorkload(check func(NodeID, uint32) bool, nodes, seqs, dup int) int {
 	return dups
 }
 
+// The flood workload BenchmarkDedupe times and TestDedupeAllocsPinned pins.
+const benchNodes, benchSeqs, benchDup = 30, 100, 5
+
+// TestDedupeAllocsPinned pins the bitset's allocations on the benchmark's
+// flood workload: the origin table is made at 16 slots and doubled twice,
+// and each of the 30 origins' bitsets grows at both of its 64-sequence
+// words, 3+60 in all. Any other count, higher or lower, is a change to say
+// in CHANGES.md.
+func TestDedupeAllocsPinned(t *testing.T) {
+	const pin = 63
+	got := testing.AllocsPerRun(8, func() {
+		dedupeWorkload(NewDedupe(0).Check, benchNodes, benchSeqs, benchDup)
+	})
+	if got != pin {
+		t.Errorf("the bitset allocates %v times on the flood workload, pin %d (%s)", got, pin, runtime.Version())
+	}
+}
+
 func BenchmarkDedupe(b *testing.B) {
-	const nodes, seqs, dup = 30, 100, 5
 	b.Run("bitset", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := NewDedupe(0)
-			if got := dedupeWorkload(d.Check, nodes, seqs, dup); got != nodes*seqs*dup {
+			if got := dedupeWorkload(d.Check, benchNodes, benchSeqs, benchDup); got != benchNodes*benchSeqs*benchDup {
 				b.Fatalf("dups = %d", got)
 			}
 		}
@@ -168,7 +186,7 @@ func BenchmarkDedupe(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := newMapDedupe(0)
-			if got := dedupeWorkload(d.Check, nodes, seqs, dup); got != nodes*seqs*dup {
+			if got := dedupeWorkload(d.Check, benchNodes, benchSeqs, benchDup); got != benchNodes*benchSeqs*benchDup {
 				b.Fatalf("dups = %d", got)
 			}
 		}
