@@ -180,23 +180,31 @@ func TestSubmitStatusAndStreamReplay(t *testing.T) {
 	}
 }
 
+// invalidRequests are submissions the service must refuse with 400, each
+// with a fragment its error must carry. FuzzRunRequest starts from them.
+var invalidRequests = []struct {
+	name, body, wantIn string
+}{
+	{"unknown field", `{"run":{"protocol":"spr","bogus":1}}`, "bogus"},
+	{"empty", `{}`, "empty request"},
+	{"both forms", `{"run":{"protocol":"spr"},"runs":[{"protocol":"spr"}]}`, "not both"},
+	{"too many seeds", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"seeds":9}`, "run limit"},
+	{"too many nodes", `{"run":{"protocol":"spr","num_sensors":500,"run_for_s":1}}`, "nodes exceeds"},
+	{"nodes overflow", `{"run":{"protocol":"spr","num_sensors":9223372036854775807,"num_gateways":1,"run_for_s":1}}`, "nodes exceeds"},
+	{"horizon", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":90000}}`, "horizon"},
+	{"shards", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"shards":2}}`, "shards"},
+	{"bad fault kind", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"faults":[{"kind":"meteor","at_s":1}]}}`, "unknown kind"},
+	{"negative workers", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"workers":-1}`, "negative"},
+	{"deadline too long", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"deadline_s":100000}`, "deadline_s"},
+	{"deadline overflows", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"deadline_s":1e10}`, "deadline_s"},
+	{"negative heartbeat", `{"run":{"protocol":"spr"},"progress_s":-1}`, "progress_s"},
+	{"heartbeat too fast", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"progress_s":0.000001}`, "progress_s"},
+	{"series too fine", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":2},"series_s":0.000001}`, "series_s"},
+}
+
 func TestSubmitValidationRejects(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Limits: Limits{MaxNodes: 100, MaxRunsPerJob: 4}})
-	cases := []struct {
-		name, body, wantIn string
-	}{
-		{"unknown field", `{"run":{"protocol":"spr","bogus":1}}`, "bogus"},
-		{"empty", `{}`, "empty request"},
-		{"both forms", `{"run":{"protocol":"spr"},"runs":[{"protocol":"spr"}]}`, "not both"},
-		{"too many seeds", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"seeds":9}`, "run limit"},
-		{"too many nodes", `{"run":{"protocol":"spr","num_sensors":500,"run_for_s":1}}`, "nodes exceeds"},
-		{"horizon", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":90000}}`, "horizon"},
-		{"shards", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"shards":2}}`, "shards"},
-		{"bad fault kind", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1,"faults":[{"kind":"meteor","at_s":1}]}}`, "unknown kind"},
-		{"negative workers", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"workers":-1}`, "negative"},
-		{"deadline too long", `{"run":{"protocol":"spr","num_sensors":20,"run_for_s":1},"deadline_s":100000}`, "deadline_s"},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidRequests {
 		resp, b := postJSON(t, ts.URL+"/v1/runs", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, body %s", tc.name, resp.StatusCode, b)
@@ -206,11 +214,23 @@ func TestSubmitValidationRejects(t *testing.T) {
 		}
 	}
 	stats := svc.Stats()
-	if stats.RejectedInvalid != uint64(len(cases)) {
-		t.Fatalf("rejected_invalid = %d, want %d", stats.RejectedInvalid, len(cases))
+	if stats.RejectedInvalid != uint64(len(invalidRequests)) {
+		t.Fatalf("rejected_invalid = %d, want %d", stats.RejectedInvalid, len(invalidRequests))
 	}
 	if stats.Submitted != 0 {
 		t.Fatalf("submitted = %d after rejections, want 0", stats.Submitted)
+	}
+}
+
+// A daemon whose maximum deadline is below the 60 s default runs a request
+// that sets no deadline_s at that maximum, instead of past it.
+func TestDefaultDeadlineWithinMax(t *testing.T) {
+	o, err := RunRequest{Run: &RunSpec{Protocol: "spr"}}.expand(Limits{MaxDeadline: 10 * time.Second}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.deadline != 10*time.Second {
+		t.Fatalf("deadline %v, want the 10s maximum", o.deadline)
 	}
 }
 

@@ -154,11 +154,21 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxDeadline <= 0 {
 		l.MaxDeadline = 300 * time.Second
 	}
+	if l.DefaultDeadline > l.MaxDeadline {
+		l.DefaultDeadline = l.MaxDeadline
+	}
 	if l.MaxTraceLines <= 0 {
 		l.MaxTraceLines = 100000
 	}
 	return l
 }
+
+// Bounds on a request's wall-clock heartbeat and series buckets. A faster
+// heartbeat, or a finer series, makes a short job stream megabytes.
+const (
+	minProgressS     = 0.01
+	maxSeriesBuckets = 10_000
+)
 
 func secs(s float64) sim.Duration { return sim.Duration(s * float64(sim.Second)) }
 
@@ -273,11 +283,17 @@ func (r RunRequest) expand(l Limits) (jobOptions, error) {
 			continue
 		}
 		full := scenario.Defaults(cfg)
-		if nodes := full.NumSensors + full.NumGateways; nodes > l.MaxNodes {
-			errs = append(errs, fmt.Errorf("run %d: %d nodes exceeds the per-run limit %d", i, nodes, l.MaxNodes))
+		// Validate refused negative counts; a huge one would overflow the sum.
+		if full.NumSensors > l.MaxNodes-full.NumGateways {
+			errs = append(errs, fmt.Errorf("run %d: %d+%d nodes exceeds the per-run limit %d", i, full.NumSensors, full.NumGateways, l.MaxNodes))
 		}
 		if full.RunFor > l.MaxHorizon {
 			errs = append(errs, fmt.Errorf("run %d: horizon %v exceeds the per-run limit %v", i, full.RunFor, l.MaxHorizon))
+		}
+		// In float seconds on the converted width, so a series_s that
+		// rounds to 0 µs is rejected too.
+		if r.SeriesS > 0 && full.RunFor.Seconds() > maxSeriesBuckets*o.series.Seconds() {
+			errs = append(errs, fmt.Errorf("run %d: series_s %g cuts the %v horizon into more than %d buckets", i, r.SeriesS, full.RunFor, maxSeriesBuckets))
 		}
 		o.cfgs = append(o.cfgs, cfg)
 	}
@@ -289,21 +305,23 @@ func (r RunRequest) expand(l Limits) (jobOptions, error) {
 	if o.workers == 0 || o.workers > l.MaxWorkersPerJob {
 		o.workers = l.MaxWorkersPerJob
 	}
+	// Both time fields are compared in seconds before they are converted:
+	// a time.Duration overflows past about 292 years.
 	if r.DeadlineS < 0 {
 		errs = append(errs, fmt.Errorf("deadline_s %g is negative", r.DeadlineS))
+	}
+	if r.DeadlineS > l.MaxDeadline.Seconds() {
+		errs = append(errs, fmt.Errorf("deadline_s %g exceeds the service maximum %gs", r.DeadlineS, l.MaxDeadline.Seconds()))
 	}
 	o.deadline = time.Duration(r.DeadlineS * float64(time.Second))
 	if o.deadline == 0 {
 		o.deadline = l.DefaultDeadline
 	}
-	if o.deadline > l.MaxDeadline {
-		errs = append(errs, fmt.Errorf("deadline_s %g exceeds the service maximum %gs", r.DeadlineS, l.MaxDeadline.Seconds()))
-	}
 	if r.SampleS < 0 || r.SeriesS < 0 {
 		errs = append(errs, errors.New("sample_s and series_s must be non-negative"))
 	}
-	if r.ProgressS < 0 {
-		errs = append(errs, fmt.Errorf("progress_s %g is negative", r.ProgressS))
+	if r.ProgressS != 0 && (r.ProgressS < minProgressS || r.ProgressS > l.MaxDeadline.Seconds()) {
+		errs = append(errs, fmt.Errorf("progress_s %g is outside [%g, %g] seconds; 0 turns the heartbeat off", r.ProgressS, minProgressS, l.MaxDeadline.Seconds()))
 	}
 	o.progress = time.Duration(r.ProgressS * float64(time.Second))
 	if err := errors.Join(errs...); err != nil {
