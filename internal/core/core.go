@@ -29,20 +29,10 @@ import (
 // Params tunes protocol timing and limits. The zero value is unusable; use
 // DefaultParams.
 type Params struct {
-	// TTL is the initial hop budget for flooded packets.
-	TTL uint8
 	// GatewayWait is how long a SecMLR gateway collects alternative RREQ
 	// paths before answering (§6.2.2 "waits a given timeout to collect
 	// multiple path information").
 	GatewayWait sim.Duration
-	// Retries is how many times a route discovery is reissued before the
-	// queued data is dropped.
-	Retries int
-	// QueueLimit bounds payloads buffered while discovery is in flight.
-	QueueLimit int
-	// AckWait is how long a SecMLR source waits for the gateway's ACK
-	// before failing over to its next-best route.
-	AckWait sim.Duration
 	// NoShortcutAnswers disables the Property-1 optimization (cached-route
 	// nodes answering RREQs, SPR/MLR step 3.1) so every query is answered
 	// by a real gateway. Ablation knob.
@@ -89,14 +79,14 @@ type Params struct {
 // DefaultParams returns sensible defaults for the simulated radios.
 func DefaultParams() Params {
 	return Params{
-		TTL:         32,
 		GatewayWait: 60 * sim.Millisecond,
-		Retries:     2,
-		QueueLimit:  64,
-		AckWait:     500 * sim.Millisecond,
 		LinkAckWait: 10 * sim.Millisecond, // inert while LinkRetries == 0
 	}
 }
+
+// TTL is the initial hop budget for flooded packets, here and in the
+// flooding baselines.
+const TTL = 32
 
 // enableARQ arms the device's hop-by-hop link ARQ when the parameters ask
 // for it; every core stack calls this from Start so sender and receiver

@@ -446,7 +446,7 @@ func (s *MLRSensor) sendData(payload []byte, r *Route) {
 		Origin:  s.dev.ID(),
 		Target:  gw,
 		Seq:     s.seq,
-		TTL:     s.Params.TTL,
+		TTL:     TTL,
 		Payload: placePayload(r.Place, payload),
 	}
 	s.Metrics.RecordGenerated(s.dev.ID(), s.seq, s.dev.Now())

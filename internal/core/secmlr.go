@@ -37,6 +37,10 @@ import (
 // announcement before disclosing the interval key.
 const discloseDelay = 100 * sim.Millisecond
 
+// ackWait is how long a SecMLR source waits for the gateway's ACK before
+// failing over to its next-best route.
+const ackWait = 500 * sim.Millisecond
+
 const (
 	notifyAnnounce byte = 0
 	notifyDisclose byte = 1
@@ -473,14 +477,14 @@ func (s *SecMLRSensor) sendData(payload []byte, r *Route, tx *pendingTx) {
 		Origin:  s.dev.ID(),
 		Target:  r.Gateway,
 		Seq:     seq,
-		TTL:     s.Params.TTL,
+		TTL:     TTL,
 		Payload: placePayload(r.Place, nil),
 		Sec:     &sec,
 	}, metrics.DataSent)
 	if tx.timer != nil {
 		tx.timer.Stop()
 	}
-	tx.timer = s.dev.After(s.Params.AckWait, func() { s.failover(seq) })
+	tx.timer = s.dev.After(ackWait, func() { s.failover(seq) })
 }
 
 // failover reacts to a missing ACK: try the next-best verified route the

@@ -178,7 +178,7 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 			return // rediscovery in flight; this reading is lost
 		}
 		fwd := s.along(pkt, s.best)
-		fwd.TTL = s.Params.TTL
+		fwd.TTL = TTL
 		s.routeFresh = false
 		s.send(fwd, metrics.DataSent)
 	} else if r, ok := s.table[pkt.Target]; ok {
@@ -234,7 +234,7 @@ func (s *SPRSensor) sendData(payload []byte) {
 		Origin:  s.dev.ID(),
 		Target:  s.best.Gateway,
 		Seq:     s.seq,
-		TTL:     s.Params.TTL,
+		TTL:     TTL,
 		Payload: payload,
 	}
 	if s.routeFresh {

@@ -196,11 +196,9 @@ func TestSPRUnreachableGatewayDropsAfterRetries(t *testing.T) {
 
 func TestSPRQueueLimit(t *testing.T) {
 	w, m, stacks := sprWorld(t, 1, line(2, 0, 10), []geom.Point{{X: 500}}, 12)
-	small := DefaultParams()
-	small.QueueLimit = 3
-	st := NewSPRSensor(small, m)
+	st := NewSPRSensor(DefaultParams(), m)
 	w.AddSensor(99, geom.Point{X: 5, Y: 5}, 12, 0, st)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < queueLimit+7; i++ {
 		st.OriginateData([]byte{byte(i)})
 	}
 	if m.DroppedQueue != 7 {

@@ -79,7 +79,7 @@ func (s *sensor) Start(dev *node.Device) { s.start(dev) }
 // enqueue buffers a reading until discovery finds a route. It reports
 // whether a discovery must start for it.
 func (s *sensor) enqueue(payload []byte) bool {
-	if len(s.queue) >= s.Params.QueueLimit {
+	if len(s.queue) >= queueLimit {
 		s.Metrics.Inc(metrics.DroppedQueue)
 		return false
 	}
@@ -93,9 +93,13 @@ func (s *sensor) idle() bool {
 	if s.discovering {
 		return false
 	}
-	s.retriesLeft = s.Params.Retries
+	s.retriesLeft = discoveryRetries
 	return true
 }
+
+// queueLimit bounds the readings buffered while discovery is in flight;
+// discoveryRetries is how often a discovery is reissued before they drop.
+const queueLimit, discoveryRetries = 64, 2
 
 // responseWait is how long a sensor collects route responses before
 // choosing the best gateway.
@@ -115,7 +119,7 @@ func (s *sensor) discover(payload []byte) {
 		Origin:  s.dev.ID(),
 		Target:  packet.Broadcast,
 		Seq:     s.seq,
-		TTL:     s.Params.TTL,
+		TTL:     TTL,
 		Path:    []packet.NodeID{s.dev.ID()},
 		Payload: payload,
 	}, metrics.RReqSent)
@@ -193,7 +197,7 @@ func (s *sensor) shortcut(pkt *packet.Packet, route []packet.NodeID, payload []b
 		Origin:  s.dev.ID(),
 		Target:  pkt.Origin,
 		Seq:     pkt.Seq,
-		TTL:     s.Params.TTL,
+		TTL:     TTL,
 		Path:    shortcutPath(pkt.Path, s.dev.ID(), route),
 		Payload: payload,
 	}, metrics.RResSent)
@@ -335,7 +339,7 @@ func (g *gateway) flood(payload []byte, c metrics.Counter) {
 		Origin:  g.dev.ID(),
 		Target:  packet.Broadcast,
 		Seq:     g.seq,
-		TTL:     g.Params.TTL,
+		TTL:     TTL,
 		Payload: payload,
 	}, c)
 }
@@ -361,7 +365,7 @@ func (g *gateway) respond(to, origin packet.NodeID, seq uint32, path []packet.No
 		Origin:  g.dev.ID(),
 		Target:  origin,
 		Seq:     seq,
-		TTL:     g.Params.TTL,
+		TTL:     TTL,
 		Path:    path,
 		Payload: payload,
 		Sec:     sec,
@@ -394,7 +398,7 @@ func (g *gateway) downPath(sensor packet.NodeID) []packet.NodeID {
 // sets its kind, target, sequence number, payload and envelope.
 func (g *gateway) sendDown(pkt *packet.Packet, rev []packet.NodeID, c metrics.Counter) bool {
 	pkt.From, pkt.To, pkt.Origin = g.dev.ID(), rev[1], g.dev.ID()
-	pkt.TTL, pkt.Path = g.Params.TTL, rev
+	pkt.TTL, pkt.Path = TTL, rev
 	return g.send(pkt, c)
 }
 

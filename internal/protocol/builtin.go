@@ -109,7 +109,7 @@ func buildFlooding(env *Env) (*Instance, error) {
 	inst := newInstance(len(env.SensorIDs))
 	for i, pos := range env.SensorPos {
 		id := env.SensorIDs[i]
-		st := baseline.NewFlooding(env.Metrics, env.Params.TTL)
+		st := baseline.NewFlooding(env.Metrics, core.TTL)
 		inst.Originators[id] = st
 		env.World.AddSensor(id, pos, env.SensorRange, 0, env.Wrap(id, st))
 	}
@@ -146,12 +146,12 @@ func buildMCFA(env *Env) (*Instance, error) {
 	inst := newInstance(len(env.SensorIDs))
 	for i, pos := range env.SensorPos {
 		id := env.SensorIDs[i]
-		st := baseline.NewMCFA(env.Metrics, env.Params.TTL)
+		st := baseline.NewMCFA(env.Metrics, core.TTL)
 		inst.Originators[id] = st
 		env.World.AddSensor(id, pos, env.SensorRange, 0, env.Wrap(id, st))
 	}
 	env.World.AddGateway(env.GatewayIDs[0], env.Places[0], env.SensorRange, 500,
-		baseline.NewMCFASink(env.Metrics, env.Params.TTL))
+		baseline.NewMCFASink(env.Metrics, core.TTL))
 	return inst, nil
 }
 
