@@ -80,7 +80,9 @@ func digestMatrix() []digestRun {
 			cfg.RoundLen = 20 * sim.Second
 			runs = append(runs, digestRun{fmt.Sprintf("rounds-clean/%s/seed%d", p, seed), cfg})
 		}
-		for _, p := range []Protocol{SPR, MLR, SecMLR} {
+		// SecMLR ignores AdvertInterval: its run here would repeat
+		// lossy-arq/secmlr exactly.
+		for _, p := range []Protocol{SPR, MLR} {
 			cfg := digestCleanConfig(seed, p)
 			cfg.LossRate = 0.2
 			cfg.Params = digestParams(func(p *core.Params) {
