@@ -1,5 +1,5 @@
 // Command wmsnbench regenerates every reproduced table and figure of the
-// paper (the E1..E12 suite indexed in DESIGN.md) and prints them as text
+// paper (the E1..E15 suite indexed in DESIGN.md) and prints them as text
 // tables. Run with -quick for a fast smoke pass, or -only E4,E5 to select
 // specific experiments. Independent runs within each experiment execute on
 // a worker pool (-workers, default one per CPU); the output is byte-identical

@@ -147,7 +147,8 @@ func TestHistIndexBounds(t *testing.T) {
 
 // TestObserveZeroAlloc pins the hot-path cost: recording into a histogram —
 // and into a Memory's delivery path via Observe — allocates nothing, so
-// dormant telemetry is free (the bench-guard contract).
+// dormant telemetry is free. TestEndToEndAllocsPinned at the repository
+// root holds whole runs to their exact allocation counts.
 func TestObserveZeroAlloc(t *testing.T) {
 	var h Hist
 	if n := testing.AllocsPerRun(100, func() { h.Observe(12345) }); n != 0 {

@@ -20,7 +20,7 @@
 //     LEACH), eight network-layer attacks, gateway placement models, a
 //     deterministic fault-injection subsystem (Config.Faults), a reliable
 //     link layer with hop-by-hop ARQ (Params.LinkRetries), and the full
-//     experiment suite (E1–E14) behind cmd/wmsnbench.
+//     experiment suite (E1–E15) behind cmd/wmsnbench.
 //
 // Quick start:
 //
@@ -491,7 +491,7 @@ type Graph = network.Graph
 // GraphFromWorld builds the sensor-layer connectivity graph of a world.
 func GraphFromWorld(w *World) *Graph { return network.FromWorld(w) }
 
-// Experiments exposes the reproduction suite (E1..E14) programmatically;
+// Experiments exposes the reproduction suite (E1..E15) programmatically;
 // cmd/wmsnbench is its CLI.
 type (
 	// Experiment is one reproduction experiment.
