@@ -16,7 +16,7 @@ import (
 // TestEndToEndAllocsPinned pins the heap allocations of the end-to-end
 // benchmark workloads over seeds 1-8. Each pin is the highest count and
 // each spread the distance down to the lowest seen on go1.24.0 linux/amd64
-// in over 1,300 processes (1,800 for SecMLR): run alone, after the other
+// in over 880 processes (1,400 for SecMLR): run alone, after the other
 // workloads, with -count=20 and with -cpu 1,4. Every map gets its own
 // random hash seed, so map growth, and with it the count, varies a little
 // from run to run.
@@ -31,10 +31,10 @@ func TestEndToEndAllocsPinned(t *testing.T) {
 		cfg         func(seed int64) wmsn.Config
 		pin, spread uint64
 	}{
-		{"spr", sprWorkload, 303_436, 3},
-		{"secmlr", secMLRWorkload, 1_150_547, 138},
-		{"arq-on", arqWorkload(0), 332_209, 1},
-		{"arq-on-lossy", arqWorkload(0.2), 272_363, 2},
+		{"spr", sprWorkload, 168_769, 3},
+		{"secmlr", secMLRWorkload, 802_664, 153},
+		{"arq-on", arqWorkload(0), 190_859, 1},
+		{"arq-on-lossy", arqWorkload(0.2), 158_958, 4},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			got := seedSetMallocs(t, p.cfg)

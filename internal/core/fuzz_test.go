@@ -26,13 +26,24 @@ func FuzzParseRReqBlocks(f *testing.F) {
 		if !ok {
 			return
 		}
+		for i := range blocks {
+			// A MAC is a view into data, capped so that no append reaches
+			// the bytes after it.
+			if len(blocks[i].MAC) != wsncrypto.MACSize || cap(blocks[i].MAC) != wsncrypto.MACSize {
+				t.Fatalf("block %d MAC has len %d cap %d, want both %d", i, len(blocks[i].MAC), cap(blocks[i].MAC), wsncrypto.MACSize)
+			}
+		}
 		re := marshalRReqBlocks(blocks)
+		if !bytes.Equal(re, data[:len(re)]) {
+			t.Fatalf("re-marshal %x is not a prefix of the input %x", re, data)
+		}
 		blocks2, ok2 := parseRReqBlocks(re)
 		if !ok2 || len(blocks2) != len(blocks) {
 			t.Fatalf("re-parse failed: %v vs %v", blocks, blocks2)
 		}
 		for i := range blocks {
-			if blocks[i].Gateway != blocks2[i].Gateway || blocks[i].Counter != blocks2[i].Counter {
+			if blocks[i].Gateway != blocks2[i].Gateway || blocks[i].Counter != blocks2[i].Counter ||
+				blocks[i].Cipher != blocks2[i].Cipher || !bytes.Equal(blocks[i].MAC, blocks2[i].MAC) {
 				t.Fatalf("block %d mismatch", i)
 			}
 		}

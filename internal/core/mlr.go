@@ -508,7 +508,7 @@ func (s *MLRSensor) handleRRes(pkt *packet.Packet) {
 	// learned it and decide() fires on its timer.
 	gw := pkt.Path[len(pkt.Path)-1]
 	s.active[place] = gw
-	s.lastHeard[gw] = s.dev.Now()
+	s.heard(gw, s.dev.Now())
 	r := Route{Gateway: gw, Place: place, Hops: len(pkt.Path) - 1 - idx, Path: append([]packet.NodeID(nil), pkt.Path[idx:]...)}
 	if old, ok := s.table[place]; !ok || r.Hops < old.Hops {
 		s.table[place] = r
@@ -568,14 +568,14 @@ func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
 		if !ok {
 			return
 		}
-		s.lastHeard[pkt.Origin] = s.dev.Now()
+		s.heard(pkt.Origin, s.dev.Now())
 		s.active.move(pkt.Origin, n)
 	case notifyAdvert:
 		place, ok := parseAdvert(pkt.Payload)
 		if !ok {
 			return
 		}
-		s.lastHeard[pkt.Origin] = s.dev.Now()
+		s.heard(pkt.Origin, s.dev.Now())
 		if place >= 0 && s.Params.AdvertInterval > 0 {
 			// The beacon re-activates the gateway's place, so a recovered
 			// gateway comes back without waiting for the next round.

@@ -69,6 +69,9 @@ func marshalRReqBlocks(blocks []rreqBlock) []byte {
 	return buf
 }
 
+// parseRReqBlocks decodes the blocks of a RREQ payload. Each block's MAC is
+// a view into b, capped at its length, not a copy: a received frame is
+// immutable and the blocks do not outlive the handler that parsed them.
 func parseRReqBlocks(b []byte) ([]rreqBlock, bool) {
 	if len(b) < 1 {
 		return nil, false
@@ -83,7 +86,7 @@ func parseRReqBlocks(b []byte) ([]rreqBlock, bool) {
 		blocks[i].Gateway = packet.NodeID(binary.BigEndian.Uint32(b[off:]))
 		blocks[i].Counter = binary.BigEndian.Uint64(b[off+4:])
 		blocks[i].Cipher = b[off+12]
-		blocks[i].MAC = append([]byte(nil), b[off+13:off+13+wsncrypto.MACSize]...)
+		blocks[i].MAC = b[off+13 : off+13+wsncrypto.MACSize : off+13+wsncrypto.MACSize]
 		off += rreqBlockSize
 	}
 	return blocks, true

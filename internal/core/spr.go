@@ -105,7 +105,7 @@ func (s *SPRSensor) decide() {
 			if old, ok := s.table[r.Gateway]; !ok || r.Hops < old.Hops {
 				s.table[r.Gateway] = r
 			}
-			s.lastHeard[r.Gateway] = now
+			s.heard(r.Gateway, now)
 		}
 	}
 	for _, p := range queued {
@@ -269,7 +269,7 @@ func (s *SPRSensor) handleNotify(pkt *packet.Packet) {
 	if _, ok := parseAdvert(pkt.Payload); !ok || pkt.Origin == s.dev.ID() || s.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	s.lastHeard[pkt.Origin] = s.dev.Now()
+	s.heard(pkt.Origin, s.dev.Now())
 	s.relayFlood(pkt)
 }
 
@@ -322,7 +322,7 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 		if s.Params.AdvertInterval > 0 {
 			// A flow actively routing through the gateway counts as proof
 			// of life until the advert deadline says otherwise.
-			s.lastHeard[pkt.Target] = s.dev.Now()
+			s.heard(pkt.Target, s.dev.Now())
 		}
 		return
 	}

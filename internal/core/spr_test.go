@@ -232,6 +232,29 @@ func TestSPRGatewayUplinkCallback(t *testing.T) {
 	}
 }
 
+// An SPR sensor with adverts off still relays a liveness advert it hears
+// and notes its gateway as alive. That first note makes the liveness map,
+// which sensors start without, so the sensor must neither panic nor stop
+// routing.
+func TestSPRAdvertWithAdvertsOff(t *testing.T) {
+	w, m, stacks := sprWorld(t, 1, line(3, 0, 10), []geom.Point{{X: 30}}, 12)
+	if stacks[2].lastHeard != nil {
+		t.Fatal("a sensor that heard no gateway has a liveness map")
+	}
+	stacks[2].HandleMessage(&packet.Packet{
+		Kind: packet.KindNotify, From: 3, To: packet.Broadcast, Origin: 1000,
+		Target: packet.Broadcast, Seq: 1, TTL: TTL, Payload: marshalAdvert(NoPlace),
+	})
+	if _, ok := stacks[2].lastHeard[1000]; !ok {
+		t.Fatal("the advert did not mark gateway 1000 as heard")
+	}
+	stacks[1].OriginateData([]byte("reading"))
+	w.Run(5 * sim.Second)
+	if m.Delivered != 1 {
+		t.Fatalf("delivered %d after the advert, want 1", m.Delivered)
+	}
+}
+
 func TestSPRDirectNeighborOfGateway(t *testing.T) {
 	w, m, stacks := sprWorld(t, 1, []geom.Point{{X: 0}}, []geom.Point{{X: 10}}, 15)
 	stacks[1].OriginateData([]byte("x"))

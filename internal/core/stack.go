@@ -61,16 +61,17 @@ type sensor struct {
 	discovering bool
 	retriesLeft int
 
-	// lastHeard tracks per-gateway liveness (see advert.go); rerouting and
-	// lostAt carry a pending failover across a rediscovery when no cached
-	// alternative survived the loss of the active route.
+	// lastHeard tracks per-gateway liveness (see advert.go; nil until the
+	// first heard); rerouting and lostAt carry a pending failover across a
+	// rediscovery when no cached alternative survived the loss of the
+	// active route.
 	lastHeard map[packet.NodeID]sim.Time
 	rerouting bool
 	lostAt    sim.Time
 }
 
 func newSensor(p Params, m metrics.Sink) sensor {
-	return sensor{station: station{Params: p, Metrics: m}, lastHeard: make(map[packet.NodeID]sim.Time)}
+	return sensor{station: station{Params: p, Metrics: m}}
 }
 
 // Start implements node.Stack.
@@ -174,6 +175,16 @@ func (s *sensor) credit(peer packet.NodeID, detail string, lostAt sim.Time) {
 		s.Metrics.Observe(metrics.HistFailoverLatencyUs, uint64(gap))
 	}
 	traceReroute(s.dev, peer, detail, gap)
+}
+
+// heard notes gateway gw as alive at time at. The map is made here, at the
+// first note: SPR sensors with adverts off and SecMLR sensors never note
+// one, and silent and delete treat a nil map as empty.
+func (s *sensor) heard(gw packet.NodeID, at sim.Time) {
+	if s.lastHeard == nil {
+		s.lastHeard = make(map[packet.NodeID]sim.Time)
+	}
+	s.lastHeard[gw] = at
 }
 
 // silent reports whether gateway gw, once heard from, has missed its

@@ -51,8 +51,8 @@ type ARQConfig struct {
 // link layer exhausts its retry budget on a frame. The handler receives the
 // retired frame exactly as it was submitted to Send (To still names the
 // unresponsive hop); it may copy the header and re-send it along another
-// route, but must not modify the frame, whose slices a forwarder shares
-// with a received one.
+// route, but must not modify the frame: it is the very frame the medium
+// handed to every listener of each attempt.
 type LinkFailureHandler interface {
 	HandleLinkFailure(pkt *packet.Packet)
 }
@@ -61,8 +61,8 @@ type LinkFailureHandler interface {
 // immediate sender plus the end-to-end identity. Scoping the key to the
 // link (From) keeps legitimate end-to-end retransmissions over a different
 // route from being mistaken for link-layer duplicates. The TTL is part of
-// the key because only link-layer retransmissions are byte-identical
-// clones: a frame that legitimately revisits this link — a routing loop
+// the key because only link-layer retransmissions resend the very same
+// frame: a frame that legitimately revisits this link — a routing loop
 // under redirect, which must keep circulating until its TTL budget kills
 // it, or a resend re-keyed upstream — arrives with a different TTL, and
 // suppressing it would silently destroy a frame the sender just got

@@ -73,10 +73,10 @@ type Stack interface {
 	Start(dev *Device)
 	// HandleMessage is invoked for every successfully received (and
 	// energy-charged) sensor-layer packet addressed to this node or
-	// broadcast. The packet is shared with every other listener of the
-	// same transmission and must not be modified; to forward it, copy the
-	// header (fwd := *pkt) and replace, never modify, the slices that
-	// change.
+	// broadcast. The packet is the sender's own frame, shared with every
+	// other listener of the same transmission, and must not be modified;
+	// to forward it, copy the header (fwd := *pkt) and replace, never
+	// modify, the slices that change.
 	HandleMessage(pkt *packet.Packet)
 }
 
@@ -240,6 +240,11 @@ func (d *Device) Every(interval sim.Duration, fn func()) *sim.Repeater {
 // energy. It reports whether the transmission happened (false when the
 // device is dead, detached from the sensor medium, or the battery browned
 // out mid-packet, which also kills the device).
+//
+// Whatever it reports, pkt is immutable from the call on: the medium hands
+// this very frame to every listener (see radio.Medium.Transmit), and the
+// link layer may retransmit it later, so the caller must not modify pkt or
+// its slices afterwards. The same holds for SendRange and SendMesh.
 //
 // With link-layer ARQ enabled (EnableLinkARQ), eligible frames — unicast
 // DATA — are instead admitted to the bounded forwarding queue: true means

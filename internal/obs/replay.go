@@ -87,8 +87,8 @@ func (l *Life) PathString() string {
 }
 
 // Lifecycle reconstructs the journey of one packet from the stream. Hops are
-// grouped by (sender, receiver, frame TTL): link-layer retransmissions are
-// byte-identical clones sharing the TTL, while a frame that legitimately
+// grouped by (sender, receiver, frame TTL): link-layer retransmissions
+// resend the same frame, TTL included, while a frame that legitimately
 // revisits a link (routing loop, rerouted resend) carries a different TTL
 // and opens a fresh hop — the same disambiguation the ARQ receiver uses.
 func Lifecycle(events []Event, key PacketKey) *Life {

@@ -89,7 +89,11 @@ func (e *SecEnvelope) Clone() *SecEnvelope {
 	return c
 }
 
-// Packet is one frame on the air.
+// Packet is one frame on the air. A frame is immutable once it is passed
+// to the radio (radio.Medium.Transmit, node.Device.Send): the medium hands
+// that same *Packet to every listener, so neither its sender nor any
+// receiver may modify it or the slices it holds. A forwarder copies the
+// header (fwd := *pkt) and replaces, never modifies, the slices it changes.
 //
 // From/To are link-layer (per-hop) addresses; Origin/Target are end-to-end
 // addresses. For DATA packets under SecMLR, From and To double as the
@@ -114,12 +118,9 @@ type Packet struct {
 	Sec     *SecEnvelope // SecMLR protection; nil when unsecured
 }
 
-// Clone returns a deep copy. The radio medium takes one Clone per
-// transmission as the frame goes on the air, so a sender may modify its
-// frame afterwards, and hands that snapshot to every listener: a received
-// frame is shared with every other listener and must not be modified. A
-// forwarder copies the header (q := *p) and replaces, never modifies, the
-// slices it changes.
+// Clone returns a deep copy that shares no slice with p: a frame that may
+// be modified, for instance a captured frame a test tampers with before
+// re-injecting it.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Path = append([]NodeID(nil), p.Path...)

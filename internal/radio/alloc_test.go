@@ -9,9 +9,8 @@ import (
 	"wmsn/internal/sim"
 )
 
-// Steady-state cost of one transmit+deliver cycle: the only allocation left
-// is the transmission's snapshot (one struct; the test packet has no path,
-// payload or security envelope), whatever the number of listeners. Events
+// Steady-state cost of one transmit+deliver cycle: nothing, whatever the
+// number of listeners. Every listener gets the sent frame itself, events
 // come from the kernel pool, deliveries from the medium pool, the receiver
 // set from the sender's cache (or the scratch buffer), and no closure or
 // Timer is created.
@@ -35,8 +34,8 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 				m.Transmit(a, pkt)
 				k.RunAll()
 			})
-			if avg > 1 {
-				t.Fatalf("transmit+deliver allocates %.2f per cycle, want <=1 (the snapshot)", avg)
+			if avg > 0 {
+				t.Fatalf("transmit+deliver allocates %.2f per cycle, want 0", avg)
 			}
 			if got != listeners*(64+201) {
 				t.Fatalf("delivered %d frames, want %d", got, listeners*(64+201))
@@ -46,7 +45,7 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	// A broadcast wave: every station transmits exactly once in one epoch,
 	// as in the scale sweep. A receiver cache filled at the first
 	// transmission would allocate one slice per sender here; it is filled
-	// only at the second, so the snapshot stays the only allocation.
+	// only at the second, so a first transmission allocates nothing.
 	t.Run("transmit-once", func(t *testing.T) {
 		const warm, perCycle, runs = 64, 4, 200
 		k := sim.NewKernel(1)
@@ -72,8 +71,8 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 		}
 		send(warm) // warm every pool and the scratch buffer
 		avg := testing.AllocsPerRun(runs, func() { send(perCycle) })
-		if avg > perCycle {
-			t.Fatalf("a cycle of %d first transmissions allocates %.2f, want <=%d (the snapshots)", perCycle, avg, perCycle)
+		if avg > 0 {
+			t.Fatalf("a cycle of %d first transmissions allocates %.2f, want 0", perCycle, avg)
 		}
 		if next != len(line) || got != want {
 			t.Fatalf("%d stations sent, %d frames delivered; want %d and %d", next, got, len(line), want)
@@ -82,8 +81,7 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 }
 
 // The collision model's pending lists must not break delivery pooling: under
-// sustained overlapping traffic the steady-state allocation stays pinned to
-// one snapshot per transmission.
+// sustained overlapping traffic a cycle still allocates nothing.
 func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
@@ -99,8 +97,8 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 		m.Transmit(a, pkt)
 		k.RunAll()
 	})
-	if avg > 2 {
-		t.Fatalf("collision-model cycle allocates %.2f, want <=2 (two snapshots)", avg)
+	if avg > 0 {
+		t.Fatalf("collision-model cycle allocates %.2f, want 0", avg)
 	}
 }
 

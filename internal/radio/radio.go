@@ -295,12 +295,12 @@ func (m *Medium) Airtime(sizeBytes int) sim.Duration {
 }
 
 // Attach registers a station. handler is called once per successful
-// delivery with the transmission's snapshot: one clone of the sent frame,
-// shared with every other listener of the same transmission, so handler
-// must not modify it (a forwarder copies the header and replaces the slices
-// it changes). Attaching an already-attached ID panics: duplicate radio
-// identities are a configuration bug (the deliberate case, the Sybil
-// attack, forges packet headers instead).
+// delivery with the sent frame itself: the *Packet passed to Transmit,
+// shared with its sender and with every other listener of the same
+// transmission, so handler must not modify it (a forwarder copies the
+// header and replaces the slices it changes). Attaching an already-attached
+// ID panics: duplicate radio identities are a configuration bug (the
+// deliberate case, the Sybil attack, forges packet headers instead).
 func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handler func(*packet.Packet)) *Station {
 	if _, dup := m.stations[id]; dup {
 		panic(fmt.Sprintf("radio: station %v attached twice", id))
@@ -407,11 +407,11 @@ func sortStations(ss []*Station) {
 }
 
 // Transmit broadcasts pkt from station from. Every listening station within
-// range receives the transmission's snapshot (see Attach) after airtime +
-// PropDelay, unless the loss model drops it or (with Collisions) an
-// overlapping reception corrupts it. The snapshot is taken when the frame
-// goes on the air, before Transmit returns unless CSMA defers it; from then
-// on the sender may modify pkt.
+// range receives pkt itself (see Attach) after airtime + PropDelay, unless
+// the loss model drops it or (with Collisions) an overlapping reception
+// corrupts it. No copy is taken: from the call on, pkt and every slice it
+// holds belong to the air, and nobody, the sender included, may modify
+// them. A sender that wants another frame builds a new one.
 // Unicast packets (pkt.To != Broadcast) still occupy every neighbor's radio
 // — wireless is broadcast — but are only handed to the addressee; the node
 // layer charges overhearing energy accordingly.
@@ -495,10 +495,9 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 	if m.cfg.CSMA {
 		m.active = append(m.active, activeTx{pos: from.pos, rangeM: rangeM, end: start + airtime})
 	}
-	// One snapshot per transmission, shared read-only by every listener.
-	// Like the batch, it is made at the first reception that survives the
-	// loss draws, so a transmission nobody hears costs no clone.
-	var snap *packet.Packet
+	// Every listener gets the sent frame itself (see Transmit). The batch
+	// is taken at the first reception that survives the loss draws, so a
+	// transmission nobody hears schedules nothing.
 	var batch *deliveryBatch
 	for _, st := range m.receivers(from, rangeM, &m.rxScratch) {
 		if !st.listening {
@@ -518,10 +517,9 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 		}
 		if batch == nil {
 			batch = m.getBatch()
-			snap = pkt.Clone()
 		}
 		d := m.getDelivery()
-		d.to, d.pkt, d.start, d.end = st, snap, start, end
+		d.to, d.pkt, d.start, d.end = st, pkt, start, end
 		if m.cfg.Collisions {
 			// Any reception overlapping an in-flight one corrupts both.
 			for _, prev := range st.pending {

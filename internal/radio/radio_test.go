@@ -83,19 +83,30 @@ func TestDeliveryTiming(t *testing.T) {
 	}
 }
 
-func TestReceiverGetsClone(t *testing.T) {
+// A sent frame is immutable, so the medium copies nothing: every listener,
+// broadcast and unicast alike, and every retransmission of the same frame
+// hand over the very *Packet passed to Transmit.
+func TestListenersReceiveSentFrame(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, SensorRadio())
-	var got *packet.Packet
+	got := map[*packet.Packet]int{}
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 5}, 50, func(p *packet.Packet) { got = p })
-	orig := testPkt(1)
-	orig.Payload = []byte("abc")
-	m.Transmit(s1, orig)
-	orig.Payload[0] = 'X' // mutate after transmit; receiver must see "abc"
+	for i := 0; i < 3; i++ {
+		m.Attach(packet.NodeID(2+i), geom.Point{X: float64(5 * (i + 1))}, 50,
+			func(p *packet.Packet) { got[p]++ })
+	}
+	bcast := testPkt(1)
+	bcast.Payload = []byte("abc")
+	bcast.Path = []packet.NodeID{1}
+	uni := testPkt(1)
+	uni.To = 3
+	m.Transmit(s1, bcast)
+	m.Transmit(s1, bcast) // a retransmission of the same frame
+	m.Transmit(s1, uni)   // the medium hands a unicast to every listener too
 	k.RunAll()
-	if got == nil || string(got.Payload) != "abc" {
-		t.Fatalf("receiver saw %v, want isolated clone with payload abc", got)
+	if len(got) != 2 || got[bcast] != 6 || got[uni] != 3 {
+		t.Fatalf("listeners received %v; want the broadcast frame %p 6 times and the unicast %p 3 times",
+			got, bcast, uni)
 	}
 }
 

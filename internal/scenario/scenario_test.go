@@ -72,23 +72,52 @@ func TestRunEveryProtocolSmoke(t *testing.T) {
 	}
 }
 
-// readOnlyStack wraps a sensor stack and counts the frames its handlers
-// modify. The radio medium hands one snapshot of a transmission to every
-// listener, so a write would leak into the other listeners' copies; a
-// retired ARQ frame is the sender's header copy and still shares its slices
-// with such a snapshot.
+// readOnlyStack wraps a sensor stack and counts writes to the frames it is
+// handed. The radio medium hands the sender's own frame to every listener
+// of a transmission, and a retired ARQ frame is that same frame, so a write
+// by anyone, a handler or the sender after Send, would leak into every
+// other holder. The ledger keeps each frame's encoding from its first
+// delivery: the handler must leave it as it was, and so must everyone
+// between two deliveries of one frame and until the run ends.
 type readOnlyStack struct {
 	node.Stack
-	handled, failures, modified *int
+	l *frameLedger
+}
+
+// frameLedger maps every frame delivered to a wrapped stack to its
+// encoding at first delivery. Keeping the frames reachable also keeps
+// their addresses from being reused by later frames.
+type frameLedger struct {
+	first                       map[*packet.Packet][]byte
+	handled, failures, modified int
+}
+
+// check records pkt's encoding at its first delivery and counts a
+// modification whenever a later look sees other bytes.
+func (l *frameLedger) check(pkt *packet.Packet) {
+	now := pkt.Marshal()
+	if was, seen := l.first[pkt]; !seen {
+		l.first[pkt] = now
+	} else if !bytes.Equal(was, now) {
+		l.modified++
+	}
+}
+
+// recheck compares every recorded frame with its first encoding once the
+// run is over.
+func (l *frameLedger) recheck() {
+	for pkt, was := range l.first {
+		if !bytes.Equal(was, pkt.Marshal()) {
+			l.modified++
+		}
+	}
 }
 
 func (s readOnlyStack) HandleMessage(pkt *packet.Packet) {
-	before := pkt.Marshal()
+	s.l.check(pkt)
 	s.Stack.HandleMessage(pkt)
-	*s.handled++
-	if !bytes.Equal(before, pkt.Marshal()) {
-		*s.modified++
-	}
+	s.l.handled++
+	s.l.check(pkt)
 }
 
 // HandleLinkFailure forwards node.LinkFailureHandler: the link ARQ reaches
@@ -99,31 +128,34 @@ func (s readOnlyStack) HandleLinkFailure(pkt *packet.Packet) {
 	if !ok {
 		return
 	}
-	before := pkt.Marshal()
+	s.l.check(pkt)
 	h.HandleLinkFailure(pkt)
-	*s.failures++
-	if !bytes.Equal(before, pkt.Marshal()) {
-		*s.modified++
-	}
+	s.l.failures++
+	s.l.check(pkt)
 }
 
 // TestHandlersLeaveFramesUnmodified runs every registered protocol on a
-// lossy, link-ARQ, gateway-kill configuration and checks that no handler
-// writes to a frame it is handed.
+// lossy, link-ARQ, gateway-kill configuration and checks that no frame a
+// wrapped stack is handed changes from its first delivery to the end of
+// the run: not inside a handler, not between two deliveries of the same
+// frame, and not after the last one.
 func TestHandlersLeaveFramesUnmodified(t *testing.T) {
 	var handled, failures int
 	for _, p := range protocol.IDs() {
 		t.Run(string(p), func(t *testing.T) {
-			modified := 0
+			l := &frameLedger{first: map[*packet.Packet][]byte{}}
 			cfg := arqChaosConfig(5, p)
 			cfg.StackWrapper = func(_ packet.NodeID, st node.Stack) node.Stack {
-				return readOnlyStack{Stack: st, handled: &handled, failures: &failures, modified: &modified}
+				return readOnlyStack{Stack: st, l: l}
 			}
 			if _, err := RunE(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if modified != 0 {
-				t.Fatalf("handlers modified %d frames", modified)
+			l.recheck()
+			handled += l.handled
+			failures += l.failures
+			if l.modified != 0 {
+				t.Fatalf("%d looks at %d frames saw other bytes than their first delivery", l.modified, len(l.first))
 			}
 		})
 	}

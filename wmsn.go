@@ -73,7 +73,8 @@ type (
 	Rect = geom.Rect
 	// NodeID identifies a node.
 	NodeID = packet.NodeID
-	// Packet is one frame on the simulated air.
+	// Packet is one frame on the simulated air. It is immutable once sent:
+	// every listener receives the sender's own frame.
 	Packet = packet.Packet
 )
 
