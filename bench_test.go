@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wmsn"
+	"wmsn/internal/placement"
 )
 
 func benchOpts() wmsn.ExperimentOpts { return wmsn.ExperimentOpts{Quick: true, Seeds: 1} }
@@ -239,7 +240,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 					SensorBattery: 1e6,
 				}
 				if v.sliding {
-					cfg.Schedule = wmsn.SlidingSchedule(4, 2, 8)
+					cfg.Schedule = placement.SlidingSchedule(4, 2, 8)
 				}
 				res := wmsn.Run(cfg)
 				ctrl += res.Metrics.ControlPackets()

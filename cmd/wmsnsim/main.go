@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"wmsn"
 	"wmsn/internal/obs"
@@ -22,9 +23,13 @@ import (
 )
 
 func main() {
+	var ids []string
+	for _, id := range wmsn.RegisteredProtocols() {
+		ids = append(ids, string(id))
+	}
 	var (
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		protocol  = flag.String("protocol", "spr", "spr|mlr|secmlr|flooding|gossiping|direct|mcfa|leach")
+		protocol  = flag.String("protocol", "spr", strings.Join(ids, "|"))
 		n         = flag.Int("n", 100, "number of sensor nodes")
 		side      = flag.Float64("side", 200, "field side length, meters")
 		rangeM    = flag.Float64("range", 35, "sensor radio range, meters")

@@ -1,6 +1,7 @@
 // Package baseline implements the comparison protocols the paper discusses
-// (§2.2): Flooding and Gossiping (flat routing), Direct transmission, MCFA
-// (minimum cost forwarding), and LEACH (cluster-based hierarchical routing).
+// (§2.2): Flooding (flat routing), Direct transmission, MCFA (minimum cost
+// forwarding), LEACH (cluster-based hierarchical routing) and PEGASIS
+// (chain-based).
 // All of them run against the traditional flat architecture — a single sink
 // — and exist so the experiments can reproduce the paper's claims about why
 // that architecture scales and balances poorly.
@@ -65,10 +66,6 @@ func NewFlooding(m metrics.Sink, ttl uint8) *Flooding {
 	return &Flooding{Metrics: m, TTL: ttl, seen: packet.NewDedupe(0)}
 }
 
-func floodKey64(origin packet.NodeID, seq uint32) uint64 {
-	return uint64(origin)<<32 | uint64(seq)
-}
-
 // Start implements node.Stack.
 func (f *Flooding) Start(dev *node.Device) { f.dev = dev }
 
@@ -113,77 +110,6 @@ func (f *Flooding) HandleMessage(pkt *packet.Packet) {
 	if f.dev.Send(&fwd) {
 		f.Metrics.Inc(metrics.DataSent)
 	}
-}
-
-// Gossiping forwards each data packet to one randomly chosen neighbor
-// (§2.2.1): it avoids implosion but propagates slowly and unreliably.
-type Gossiping struct {
-	Metrics metrics.Sink
-	TTL     uint8
-
-	dev  *node.Device
-	seen *packet.Dedupe
-	seq  uint32
-}
-
-// NewGossiping creates a gossiping stack.
-func NewGossiping(m metrics.Sink, ttl uint8) *Gossiping {
-	return &Gossiping{Metrics: m, TTL: ttl, seen: packet.NewDedupe(0)}
-}
-
-// Start implements node.Stack.
-func (g *Gossiping) Start(dev *node.Device) { g.dev = dev }
-
-// OriginateData starts one reading on a random walk toward the sink.
-func (g *Gossiping) OriginateData(payload []byte) {
-	if g.dev == nil || !g.dev.Alive() {
-		return
-	}
-	g.seq++
-	g.seen.Check(g.dev.ID(), g.seq) // never re-forward our own flood
-	pkt := &packet.Packet{
-		Kind:    packet.KindData,
-		From:    g.dev.ID(),
-		To:      packet.Broadcast, // rewritten to a neighbor below
-		Origin:  g.dev.ID(),
-		Target:  packet.Broadcast,
-		Seq:     g.seq,
-		TTL:     g.TTL,
-		Payload: payload,
-	}
-	g.Metrics.RecordGenerated(g.dev.ID(), g.seq, g.dev.Now())
-	g.relay(pkt)
-}
-
-func (g *Gossiping) relay(pkt *packet.Packet) {
-	nbrs := g.dev.SensorNeighbors()
-	if len(nbrs) == 0 {
-		return
-	}
-	next := nbrs[g.dev.World().Kernel().Rand().Intn(len(nbrs))]
-	fwd := *pkt
-	fwd.From = g.dev.ID()
-	fwd.To = next
-	if g.dev.Send(&fwd) {
-		g.Metrics.Inc(metrics.DataSent)
-	}
-}
-
-// HandleMessage implements node.Stack.
-func (g *Gossiping) HandleMessage(pkt *packet.Packet) {
-	if g.dev == nil {
-		return // not attached to a device yet
-	}
-	if pkt.Kind != packet.KindData || pkt.TTL <= 1 {
-		return
-	}
-	if g.seen.Check(pkt.Origin, pkt.Seq) {
-		return
-	}
-	fwd := *pkt
-	fwd.TTL--
-	fwd.Hops++
-	g.relay(&fwd)
 }
 
 // Direct transmits every reading straight to the sink in one long hop —

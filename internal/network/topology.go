@@ -212,119 +212,3 @@ func (s *SleepScheduler) Stop() {
 		}
 	}
 }
-
-// GAFScheduler implements GAF (Geographic Adaptive Fidelity, §2.2.3 [26]):
-// the field is divided into virtual grid cells of edge range/√5 — small
-// enough that any node in a cell can talk to any node in each adjacent
-// cell — making all nodes within a cell equivalent for routing. One leader
-// per cell keeps its radio on; the others sleep, and leadership rotates
-// every Term so the duty burden is shared.
-type GAFScheduler struct {
-	// CellEdge is the virtual grid edge; 0 derives range/√5 from the first
-	// target's radio range.
-	CellEdge float64
-	// Term is the leadership rotation period.
-	Term sim.Duration
-
-	world   *node.World
-	cells   map[[2]int][]packet.NodeID
-	turn    int
-	stopped bool
-	rep     *sim.Repeater
-}
-
-// NewGAFScheduler builds the virtual grid over the given sensors (all
-// sensors when ids is empty).
-func NewGAFScheduler(w *node.World, cellEdge float64, term sim.Duration, ids []packet.NodeID) *GAFScheduler {
-	if len(ids) == 0 {
-		for _, d := range w.DevicesOfKind(node.Sensor) {
-			ids = append(ids, d.ID())
-		}
-	}
-	g := &GAFScheduler{CellEdge: cellEdge, Term: term, world: w,
-		cells: make(map[[2]int][]packet.NodeID)}
-	for _, id := range ids {
-		d := w.Device(id)
-		if d == nil || d.SensorStation() == nil {
-			continue
-		}
-		if g.CellEdge <= 0 {
-			g.CellEdge = d.SensorStation().Range() / math.Sqrt(5)
-		}
-		p := d.Pos()
-		key := [2]int{int(math.Floor(p.X / g.CellEdge)), int(math.Floor(p.Y / g.CellEdge))}
-		g.cells[key] = append(g.cells[key], id)
-	}
-	// Deterministic member order within each cell.
-	for _, members := range g.cells {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	}
-	return g
-}
-
-// Cells returns the number of occupied grid cells.
-func (g *GAFScheduler) Cells() int { return len(g.cells) }
-
-// Leader returns the current leader of the cell containing id, or
-// packet.None when id is unknown.
-func (g *GAFScheduler) Leader(id packet.NodeID) packet.NodeID {
-	for _, members := range g.cells {
-		for _, m := range members {
-			if m == id {
-				return g.leaderOf(members)
-			}
-		}
-	}
-	return packet.None
-}
-
-func (g *GAFScheduler) leaderOf(members []packet.NodeID) packet.NodeID {
-	// Rotate through living members; the turn counter advances per term.
-	for off := 0; off < len(members); off++ {
-		id := members[(g.turn+off)%len(members)]
-		if d := g.world.Device(id); d != nil && d.Alive() {
-			return id
-		}
-	}
-	return packet.None
-}
-
-// Start applies the first leadership assignment and begins rotating.
-func (g *GAFScheduler) Start() {
-	g.apply()
-	g.rep = g.world.Kernel().Every(g.Term, func() {
-		if g.stopped {
-			return
-		}
-		g.turn++
-		g.apply()
-	})
-}
-
-func (g *GAFScheduler) apply() {
-	for _, members := range g.cells {
-		leader := g.leaderOf(members)
-		for _, id := range members {
-			d := g.world.Device(id)
-			if d == nil || !d.Alive() || d.SensorStation() == nil {
-				continue
-			}
-			d.SensorStation().SetListening(id == leader)
-		}
-	}
-}
-
-// Stop halts rotation and wakes every surviving node.
-func (g *GAFScheduler) Stop() {
-	g.stopped = true
-	if g.rep != nil {
-		g.rep.Stop()
-	}
-	for _, members := range g.cells {
-		for _, id := range members {
-			if d := g.world.Device(id); d != nil && d.Alive() && d.SensorStation() != nil {
-				d.SensorStation().SetListening(true)
-			}
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"wmsn/internal/energy"
 	"wmsn/internal/geom"
 	"wmsn/internal/node"
 	"wmsn/internal/packet"
@@ -163,126 +162,6 @@ func TestSleepSchedulerExplicitTargets(t *testing.T) {
 	w.Run(sim.Second)
 	if !sleptAnySample {
 		t.Fatal("targeted node never slept")
-	}
-}
-
-func TestGAFGridAndLeadership(t *testing.T) {
-	w := node.NewWorld(node.Config{Seed: 6})
-	// 12 sensors in a 2x2 block pattern, range 40 -> cell edge ~17.9.
-	for i := 0; i < 12; i++ {
-		w.AddSensor(packet.NodeID(i+1),
-			geom.Point{X: float64(i%4) * 15, Y: float64(i/4) * 15}, 40, 0, nil)
-	}
-	g := NewGAFScheduler(w, 0, 2*sim.Second, nil)
-	if g.CellEdge <= 0 {
-		t.Fatal("cell edge not derived from radio range")
-	}
-	if g.Cells() == 0 || g.Cells() > 12 {
-		t.Fatalf("cells = %d", g.Cells())
-	}
-	g.Start()
-	// Exactly one listener per occupied cell.
-	listening := 0
-	for i := 1; i <= 12; i++ {
-		if w.Device(packet.NodeID(i)).SensorStation().Listening() {
-			listening++
-		}
-	}
-	if listening != g.Cells() {
-		t.Fatalf("%d listeners for %d cells", listening, g.Cells())
-	}
-	// Every node's cell has a leader, and it is a cell member.
-	if g.Leader(1) == packet.None {
-		t.Fatal("cell of node 1 has no leader")
-	}
-	if g.Leader(999) != packet.None {
-		t.Fatal("unknown node has a leader")
-	}
-	// Leadership rotates across terms for multi-member cells.
-	first := g.Leader(1)
-	rotated := false
-	for i := 0; i < 12; i++ {
-		w.Run(w.Kernel().Now() + 2*sim.Second)
-		if g.Leader(1) != first {
-			rotated = true
-			break
-		}
-	}
-	// Rotation only observable if node 1's cell has >1 member; find any
-	// multi-member cell if not.
-	multi := false
-	for _, members := range g.cells {
-		if len(members) > 1 {
-			multi = true
-		}
-	}
-	if multi && !rotated {
-		// try a different probe node from a multi-member cell
-		var probe packet.NodeID
-		for _, members := range g.cells {
-			if len(members) > 1 {
-				probe = members[0]
-				break
-			}
-		}
-		l1 := g.Leader(probe)
-		w.Run(w.Kernel().Now() + 2*sim.Second)
-		if g.Leader(probe) == l1 {
-			t.Fatal("GAF leadership never rotates")
-		}
-	}
-	g.Stop()
-	for i := 1; i <= 12; i++ {
-		if !w.Device(packet.NodeID(i)).SensorStation().Listening() {
-			t.Fatal("Stop did not wake all nodes")
-		}
-	}
-}
-
-func TestGAFSkipsDeadLeaders(t *testing.T) {
-	w := node.NewWorld(node.Config{Seed: 6})
-	// Two nodes in one cell.
-	w.AddSensor(1, geom.Point{X: 1, Y: 1}, 40, 0, nil)
-	w.AddSensor(2, geom.Point{X: 2, Y: 2}, 40, 0, nil)
-	g := NewGAFScheduler(w, 0, sim.Second, nil)
-	g.Start()
-	leader := g.Leader(1)
-	w.Device(leader).Fail()
-	w.Run(w.Kernel().Now() + 2*sim.Second)
-	newLeader := g.Leader(1)
-	if newLeader == leader || newLeader == packet.None {
-		t.Fatalf("leadership not transferred from dead node: %v -> %v", leader, newLeader)
-	}
-	g.Stop()
-}
-
-func TestGAFEnergySavings(t *testing.T) {
-	// A dense field with GAF should spend far less reception energy than an
-	// always-on one under identical broadcast traffic.
-	run := func(gaf bool) float64 {
-		w := node.NewWorld(node.Config{Seed: 8,
-			EnergyModel: energy.FixedPerBit{TxPerBit: 50e-9, RxPerBit: 50e-9}})
-		for i := 0; i < 30; i++ {
-			w.AddSensor(packet.NodeID(i+1),
-				geom.Point{X: float64(i%6) * 8, Y: float64(i/6) * 8}, 45, 0, nil)
-		}
-		talker := w.AddSensor(100, geom.Point{X: 20, Y: 20}, 45, 0, nil)
-		if gaf {
-			g := NewGAFScheduler(w, 0, sim.Second, nil)
-			g.Start()
-		}
-		rep := w.Kernel().Every(100*sim.Millisecond, func() {
-			talker.Send(&packet.Packet{Kind: packet.KindHello, From: 100,
-				To: packet.Broadcast, Origin: 100, Target: packet.Broadcast, TTL: 1})
-		})
-		w.Run(10 * sim.Second)
-		rep.Stop()
-		return w.SensorEnergyStats().RxTotal
-	}
-	on := run(false)
-	withGAF := run(true)
-	if withGAF >= on*0.6 {
-		t.Fatalf("GAF rx energy %g not well below always-on %g", withGAF, on)
 	}
 }
 

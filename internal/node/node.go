@@ -313,15 +313,6 @@ func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 	return true
 }
 
-// SensorNeighbors returns the IDs of nodes currently within sensor-layer
-// radio range — the simulator's stand-in for HELLO-based neighbor discovery.
-func (d *Device) SensorNeighbors() []packet.NodeID {
-	if d.sensorSt == nil {
-		return nil
-	}
-	return d.world.sensorMedium.Neighbors(d.id)
-}
-
 // SendMesh transmits pkt on the mesh medium. Mesh nodes are mains- or
 // generator-powered in the architecture, but energy is still accounted.
 func (d *Device) SendMesh(pkt *packet.Packet) bool {

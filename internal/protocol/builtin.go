@@ -20,12 +20,10 @@ func init() {
 	Register(Builder{ID: MLR, Caps: Capabilities{MultiGateway: true, MobilityRounds: true, ShortcutAnswers: true}, Build: buildMLR})
 	Register(Builder{ID: SecMLR, Caps: Capabilities{MultiGateway: true, MobilityRounds: true, Security: true}, Build: buildSecMLR})
 	Register(Builder{ID: Flooding, Caps: Capabilities{MultiGateway: true}, Build: buildFlooding})
-	Register(Builder{ID: Gossiping, Caps: Capabilities{MultiGateway: true}, Build: buildGossiping})
 	Register(Builder{ID: Direct, Caps: Capabilities{MultiGateway: true}, Build: buildDirect})
 	Register(Builder{ID: MCFA, Caps: Capabilities{}, Build: buildMCFA})
 	Register(Builder{ID: LEACH, Caps: Capabilities{}, Build: buildLEACH})
 	Register(Builder{ID: PEGASIS, Caps: Capabilities{}, Build: buildPEGASIS})
-	Register(Builder{ID: SPIN, Caps: Capabilities{}, Build: buildSPIN})
 }
 
 func newInstance(n int) *Instance {
@@ -117,18 +115,6 @@ func buildFlooding(env *Env) (*Instance, error) {
 	return inst, nil
 }
 
-func buildGossiping(env *Env) (*Instance, error) {
-	inst := newInstance(len(env.SensorIDs))
-	for i, pos := range env.SensorPos {
-		id := env.SensorIDs[i]
-		st := baseline.NewGossiping(env.Metrics, 255)
-		inst.Originators[id] = st
-		env.World.AddSensor(id, pos, env.SensorRange, 0, env.Wrap(id, st))
-	}
-	addFlatSinks(env)
-	return inst, nil
-}
-
 func buildDirect(env *Env) (*Instance, error) {
 	inst := newInstance(len(env.SensorIDs))
 	sinkPos := env.Places[0]
@@ -175,18 +161,6 @@ func buildPEGASIS(env *Env) (*Instance, error) {
 	// the token and stretch a single sweep past the round).
 	inst.PegasisRounds = &baseline.PegasisRounds{World: env.World, Chain: chain, RoundLen: env.ReportInterval}
 	inst.PegasisRounds.Start()
-	return inst, nil
-}
-
-func buildSPIN(env *Env) (*Instance, error) {
-	inst := newInstance(len(env.SensorIDs))
-	for i, p := range env.SensorPos {
-		id := env.SensorIDs[i]
-		st := baseline.NewSPIN(env.Metrics)
-		inst.Originators[id] = st
-		env.World.AddSensor(id, p, env.SensorRange, 0, env.Wrap(id, st))
-	}
-	env.World.AddGateway(env.GatewayIDs[0], env.Places[0], env.SensorRange, 500, baseline.NewSPINSink(env.Metrics))
 	return inst, nil
 }
 

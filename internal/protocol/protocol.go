@@ -30,16 +30,14 @@ type ID string
 
 // Built-in protocols.
 const (
-	SPR       ID = "spr"       // §5.2, multi-gateway shortest path
-	MLR       ID = "mlr"       // §5.3, lifetime-maximizing rounds
-	SecMLR    ID = "secmlr"    // §6.2, secured MLR
-	Flooding  ID = "flooding"  // flat baseline
-	Gossiping ID = "gossiping" // flat baseline
-	Direct    ID = "direct"    // single-hop baseline
-	MCFA      ID = "mcfa"      // cost-field baseline
-	LEACH     ID = "leach"     // cluster baseline
-	PEGASIS   ID = "pegasis"   // chain baseline
-	SPIN      ID = "spin"      // negotiation baseline
+	SPR      ID = "spr"      // §5.2, multi-gateway shortest path
+	MLR      ID = "mlr"      // §5.3, lifetime-maximizing rounds
+	SecMLR   ID = "secmlr"   // §6.2, secured MLR
+	Flooding ID = "flooding" // flat baseline
+	Direct   ID = "direct"   // single-hop baseline
+	MCFA     ID = "mcfa"     // cost-field baseline
+	LEACH    ID = "leach"    // cluster baseline
+	PEGASIS  ID = "pegasis"  // chain baseline
 )
 
 // Capabilities describes what a protocol supports; the scenario layer uses

@@ -15,9 +15,8 @@ import (
 
 func TestBuiltinsRegistered(t *testing.T) {
 	want := []protocol.ID{
-		protocol.Direct, protocol.Flooding, protocol.Gossiping, protocol.LEACH,
-		protocol.MCFA, protocol.MLR, protocol.PEGASIS, protocol.SecMLR,
-		protocol.SPIN, protocol.SPR,
+		protocol.Direct, protocol.Flooding, protocol.LEACH, protocol.MCFA,
+		protocol.MLR, protocol.PEGASIS, protocol.SecMLR, protocol.SPR,
 	}
 	ids := protocol.IDs()
 	have := map[protocol.ID]bool{}

@@ -382,20 +382,6 @@ func (m *Medium) receivers(from *Station, rangeM float64, scratch *[]*Station) [
 	return from.rx
 }
 
-// Neighbors returns the IDs of stations within range of id.
-func (m *Medium) Neighbors(id packet.NodeID) []packet.NodeID {
-	s := m.stations[id]
-	if s == nil {
-		return nil
-	}
-	in := m.InRange(s)
-	out := make([]packet.NodeID, len(in))
-	for i, st := range in {
-		out[i] = st.id
-	}
-	return out
-}
-
 func sortStations(ss []*Station) {
 	// Insertion sort: neighbor lists are short and this avoids pulling in
 	// sort for a hot path.

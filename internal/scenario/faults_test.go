@@ -28,7 +28,6 @@ func TestValidateRejectsMisconfigurations(t *testing.T) {
 		{"leach prob high", Config{LEACHProb: 1.5}, "LEACHProb"},
 		{"schedule row width", Config{NumGateways: 3, Schedule: [][]int{{0, 1}}}, "Schedule row 0"},
 		{"schedule place range", Config{Protocol: SPR, NumGateways: 2, Schedule: [][]int{{0, 9}}}, "out of range"},
-		{"teen nil field", Config{TEEN: &TEENConfig{Hard: 1, Soft: 0.5}}, "nil Field"},
 		{"fault past horizon", Config{RunFor: 10 * sim.Second,
 			Faults: fault.NewPlan().CrashAt(60*sim.Second, 1)}, "never fire"},
 	}

@@ -21,7 +21,6 @@ import (
 	"wmsn/internal/packet"
 	"wmsn/internal/protocol"
 	"wmsn/internal/radio"
-	"wmsn/internal/sensing"
 	"wmsn/internal/sim"
 )
 
@@ -32,16 +31,14 @@ type Protocol = protocol.ID
 
 // The built-in protocols, re-exported for convenience.
 const (
-	SPR       = protocol.SPR       // §5.2, multi-gateway shortest path
-	MLR       = protocol.MLR       // §5.3, lifetime-maximizing rounds
-	SecMLR    = protocol.SecMLR    // §6.2, secured MLR
-	Flooding  = protocol.Flooding  // flat baseline
-	Gossiping = protocol.Gossiping // flat baseline
-	Direct    = protocol.Direct    // single-hop baseline
-	MCFA      = protocol.MCFA      // cost-field baseline
-	LEACH     = protocol.LEACH     // cluster baseline
-	PEGASIS   = protocol.PEGASIS   // chain baseline
-	SPIN      = protocol.SPIN      // negotiation baseline
+	SPR      = protocol.SPR      // §5.2, multi-gateway shortest path
+	MLR      = protocol.MLR      // §5.3, lifetime-maximizing rounds
+	SecMLR   = protocol.SecMLR   // §6.2, secured MLR
+	Flooding = protocol.Flooding // flat baseline
+	Direct   = protocol.Direct   // single-hop baseline
+	MCFA     = protocol.MCFA     // cost-field baseline
+	LEACH    = protocol.LEACH    // cluster baseline
+	PEGASIS  = protocol.PEGASIS  // chain baseline
 )
 
 // Originator is any sensor stack that can produce a reading.
@@ -97,12 +94,6 @@ type Config struct {
 	// LEACH-specific.
 	LEACHProb float64
 
-	// TEEN, when non-nil, replaces unconditional periodic reporting with
-	// threshold-sensitive reporting (§2.2.2 [18]): each ReportInterval the
-	// sensor samples the field at its position and transmits only when the
-	// TEEN filter fires. The sensed value rides in the payload.
-	TEEN *TEENConfig
-
 	// NoShortcutAnswers disables SPR/MLR's cached-route answering
 	// (Property-1 shortcut) — the ablation of experiment E12.
 	NoShortcutAnswers bool
@@ -149,14 +140,6 @@ type Config struct {
 	// ProgressBoard for multi-run jobs. The probe only ever reads watermark
 	// state, so a watched run's Result is identical to an unwatched one.
 	Progress *sim.Progress
-}
-
-// TEENConfig configures threshold-sensitive reporting.
-type TEENConfig struct {
-	// Field is the sensed environment.
-	Field sensing.Field
-	// Hard and Soft are the TEEN thresholds.
-	Hard, Soft float64
 }
 
 // Defaults fills unset fields.
@@ -278,9 +261,6 @@ func (cfg Config) Validate() error {
 			}
 		}
 	}
-	if c.TEEN != nil && c.TEEN.Field == nil {
-		fail("TEEN reporting configured with a nil Field — nothing to sense")
-	}
 	if p := c.Params; p != nil {
 		if p.LinkRetries < 0 {
 			fail("Params.LinkRetries %d is negative — 0 disables link ARQ", p.LinkRetries)
@@ -313,7 +293,6 @@ type Net struct {
 	PegasisRounds *baseline.PegasisRounds
 
 	trafficStop []*sim.Repeater
-	teens       []*sensing.TEEN
 	injector    *fault.Injector
 }
 
@@ -477,35 +456,17 @@ func buildE(cfg Config, ar *runArena) (*Net, error) {
 	return n, nil
 }
 
-// StartTraffic schedules the reporting workload: unconditional periodic
-// reports by default, or TEEN threshold-sensitive reports when configured.
+// StartTraffic schedules the reporting workload: every sensor reports once
+// per ReportInterval, from a random phase after Warmup.
 func (n *Net) StartTraffic() {
 	cfg := n.Cfg
 	payload := make([]byte, cfg.PayloadSize)
 	k := n.World.Kernel()
 	for _, id := range n.SensorIDs {
 		id := id
-		var filter *sensing.TEEN
-		if cfg.TEEN != nil {
-			filter = sensing.NewTEEN(cfg.TEEN.Hard, cfg.TEEN.Soft)
-			n.teens = append(n.teens, filter)
-		}
 		report := func() {
-			o, ok := n.Originators[id]
-			if !ok {
-				return
-			}
-			if filter == nil {
+			if o, ok := n.Originators[id]; ok {
 				o.OriginateData(payload)
-				return
-			}
-			d := n.World.Device(id)
-			if d == nil || !d.Alive() {
-				return
-			}
-			v := cfg.TEEN.Field.ValueAt(d.Pos(), d.Now())
-			if filter.Sample(v) {
-				o.OriginateData(fmt.Appendf(nil, "v=%.2f", v))
 			}
 		}
 		phase := cfg.Warmup + sim.Duration(k.Rand().Int63n(int64(cfg.ReportInterval)))
@@ -514,16 +475,6 @@ func (n *Net) StartTraffic() {
 			n.trafficStop = append(n.trafficStop, k.Every(cfg.ReportInterval, report))
 		})
 	}
-}
-
-// TEENStats aggregates the threshold filters' activity (zero when TEEN
-// reporting is not configured).
-func (n *Net) TEENStats() (samples, reports uint64) {
-	for _, f := range n.teens {
-		samples += f.Samples
-		reports += f.Reports
-	}
-	return samples, reports
 }
 
 // StopTraffic cancels the reporting workload.

@@ -16,8 +16,8 @@
 //     radio model with loss and collisions, battery/energy accounting, a
 //     link-state wireless mesh backbone with self-healing, and a
 //     symmetric-crypto toolkit.
-//   - Flat-architecture baselines (flooding, gossiping, direct, MCFA,
-//     LEACH), eight network-layer attacks, gateway placement models, a
+//   - Flat-architecture baselines (flooding, direct, MCFA, LEACH,
+//     PEGASIS), eight network-layer attacks, gateway placement models, a
 //     deterministic fault-injection subsystem (Config.Faults), a reliable
 //     link layer with hop-by-hop ARQ (Params.LinkRetries), and the full
 //     experiment suite (E1–E15) behind cmd/wmsnbench.
@@ -45,7 +45,6 @@ import (
 	"context"
 
 	"wmsn/internal/attack"
-	"wmsn/internal/baseline"
 	"wmsn/internal/core"
 	"wmsn/internal/energy"
 	"wmsn/internal/experiments"
@@ -53,14 +52,11 @@ import (
 	"wmsn/internal/geom"
 	"wmsn/internal/mesh"
 	"wmsn/internal/metrics"
-	"wmsn/internal/network"
 	"wmsn/internal/node"
 	"wmsn/internal/obs"
 	"wmsn/internal/packet"
-	"wmsn/internal/placement"
 	"wmsn/internal/protocol"
 	"wmsn/internal/scenario"
-	"wmsn/internal/sensing"
 	"wmsn/internal/sim"
 	"wmsn/internal/trace"
 )
@@ -107,16 +103,14 @@ type (
 
 // Protocols.
 const (
-	SPR       = scenario.SPR
-	MLR       = scenario.MLR
-	SecMLR    = scenario.SecMLR
-	Flooding  = scenario.Flooding
-	Gossiping = scenario.Gossiping
-	Direct    = scenario.Direct
-	MCFA      = scenario.MCFA
-	LEACH     = scenario.LEACH
-	PEGASIS   = scenario.PEGASIS
-	SPIN      = scenario.SPIN
+	SPR      = scenario.SPR
+	MLR      = scenario.MLR
+	SecMLR   = scenario.SecMLR
+	Flooding = scenario.Flooding
+	Direct   = scenario.Direct
+	MCFA     = scenario.MCFA
+	LEACH    = scenario.LEACH
+	PEGASIS  = scenario.PEGASIS
 )
 
 // Protocol registry: external packages plug new routing protocols into the
@@ -142,92 +136,20 @@ func RegisterProtocol(b ProtocolBuilder) { protocol.Register(b) }
 // RegisteredProtocols lists every registered protocol ID in sorted order.
 func RegisteredProtocols() []Protocol { return protocol.IDs() }
 
-// Metrics pipeline: every protocol reports through the MetricsSink
-// interface; MetricsSnapshot is the JSON-serializable summary of a run (or
-// a merged aggregate of many runs, see MetricsAggregate).
-type (
-	// MetricsSink receives lifecycle events and counters from protocol and
-	// radio layers.
-	MetricsSink = metrics.Sink
-	// MetricsCounter names one event counter.
-	MetricsCounter = metrics.Counter
-	// MetricsSnapshot is the serializable summary of collected metrics.
-	MetricsSnapshot = metrics.Snapshot
-	// MetricsAggregate deterministically folds the metrics of many runs.
-	MetricsAggregate = metrics.Aggregate
-)
+// MetricsSink receives lifecycle events and counters from protocol and radio
+// layers: every protocol reports through it (ProtocolEnv.Metrics).
+type MetricsSink = metrics.Sink
 
-// NewMetricsAggregate returns an empty deterministic multi-run aggregate.
-func NewMetricsAggregate() *MetricsAggregate { return metrics.NewAggregate() }
-
-// Sensing: the synthetic environment and TEEN threshold reporting.
-type (
-	// SensingField is a scalar environment sampled by sensors.
-	SensingField = sensing.Field
-	// AmbientField is a constant background level.
-	AmbientField = sensing.Ambient
-	// EventField is an ambient level plus localized Gaussian events.
-	EventField = sensing.EventField
-	// SensingEvent is one localized disturbance.
-	SensingEvent = sensing.Event
-	// TEENFilter is the per-node hard/soft threshold filter.
-	TEENFilter = sensing.TEEN
-	// TEENConfig enables threshold-sensitive reporting in a scenario.
-	TEENConfig = scenario.TEENConfig
-)
-
-// NewTEENFilter creates a threshold filter.
-var NewTEENFilter = sensing.NewTEEN
-
-// Fault injection: a FaultPlan declared on Config.Faults schedules
-// deterministic crashes, recoveries, gateway kills, loss degradation and
-// background churn; the run's Result then carries a Reliability summary.
-type (
-	// FaultPlan is a declarative, validated fault schedule.
-	FaultPlan = fault.Plan
-	// FaultChurn parameterizes background sensor crash/recover cycles.
-	FaultChurn = fault.Churn
-	// Reliability summarizes recovery behaviour of a faulted run.
-	Reliability = fault.Reliability
-	// ReliabilityWindow is the delivery ratio around one fault event.
-	ReliabilityWindow = fault.Window
-)
+// FaultPlan is a declarative, validated fault schedule. Declared on
+// Config.Faults, it schedules deterministic crashes, recoveries, gateway
+// kills, loss degradation and background churn; the run's Result then
+// carries a Reliability summary.
+type FaultPlan = fault.Plan
 
 // NewFaultPlan returns an empty fault plan; chain CrashAt, RecoverAt,
 // KillGateway, DegradeLinks, DegradeAll, RampLoss, WithChurn and Settle to
 // populate it.
 func NewFaultPlan() *FaultPlan { return fault.NewPlan() }
-
-// Fault and failover counters (see MetricsSnapshot.Counters).
-const (
-	CtrFaultsInjected    = metrics.FaultsInjected
-	CtrReroutes          = metrics.Reroutes
-	CtrFailoverLatencyUs = metrics.FailoverLatencyUs
-)
-
-// Link-layer ARQ counters (see MetricsSnapshot.Counters), live when
-// Params.LinkRetries > 0: frames admitted to forwarding queues, per-hop
-// acknowledgments, retransmissions, dead-hop verdicts, frames flushed by
-// node death, and backpressure drops at full queues.
-const (
-	CtrLinkTxQueued = metrics.LinkTxQueued
-	CtrLinkAcked    = metrics.LinkAcked
-	CtrLinkAckSent  = metrics.LinkAckSent
-	CtrLinkRetries  = metrics.LinkRetries
-	CtrLinkFailures = metrics.LinkFailures
-	CtrLinkFlushed  = metrics.LinkFlushed
-	CtrQueueDrops   = metrics.QueueDrops
-)
-
-// DeathCause classifies why a device died.
-type DeathCause = node.DeathCause
-
-// Death causes.
-const (
-	CauseBattery  = node.CauseBattery
-	CauseFailure  = node.CauseFailure
-	CauseInjected = node.CauseInjected
-)
 
 // ErrCanceled marks a run stopped by context cancellation or deadline.
 // Errors from RunContext, RunManyContext and RunEach match it with
@@ -303,32 +225,12 @@ func BuildE(cfg Config) (*Net, error) { return scenario.BuildE(cfg) }
 // GatewayID returns the node ID of the i-th gateway in a scenario.
 func GatewayID(i int) NodeID { return scenario.GatewayID(i) }
 
-// Deployment strategies for Config.Deploy.
-type (
-	// UniformDeploy scatters sensors uniformly at random.
-	UniformDeploy = geom.Uniform
-	// GridDeploy places sensors on a jittered lattice.
-	GridDeploy = geom.Grid
-	// ClusterDeploy concentrates sensors in Gaussian clusters.
-	ClusterDeploy = geom.Clusters
-	// HotspotDeploy concentrates a fraction of sensors in a sub-region.
-	HotspotDeploy = geom.Hotspot
-)
+// HotspotDeploy, a Config.Deploy strategy, concentrates a fraction of
+// sensors in a sub-region (the default scatters them uniformly).
+type HotspotDeploy = geom.Hotspot
 
-// Square returns a side x side region at the origin.
-func Square(side float64) Rect { return geom.Square(side) }
-
-// Energy models for Config.EnergyModel.
-type (
-	// FixedPerBitEnergy charges constant energy per bit (§5.2 assumption).
-	FixedPerBitEnergy = energy.FixedPerBit
-	// FirstOrderEnergy is the Heinzelman first-order radio model.
-	FirstOrderEnergy = energy.FirstOrder
-	// EnergyStats summarizes per-node energy use.
-	EnergyStats = energy.Stats
-)
-
-// Default energy parameterizations.
+// Energy models for Config.EnergyModel: a constant charge per bit (§5.2
+// assumption) and the Heinzelman first-order radio model.
 var (
 	DefaultFixedEnergy      = energy.DefaultFixed
 	DefaultFirstOrderEnergy = energy.DefaultFirstOrder
@@ -339,16 +241,10 @@ var (
 type (
 	// World owns the kernel, media and devices of one simulation.
 	World = node.World
-	// Device is one simulated node.
-	Device = node.Device
 	// Stack is a protocol state machine attached to a device.
 	Stack = node.Stack
-	// Route is a routing-table entry.
-	Route = core.Route
 	// Params tunes protocol timing.
 	Params = core.Params
-	// Rounds drives MLR gateway mobility.
-	Rounds = core.Rounds
 )
 
 // Observability: the typed event bus every layer publishes into when tracing
@@ -359,42 +255,20 @@ type (
 	TraceBus = obs.Bus
 	// TraceEventRecord is one traced action with its virtual timestamp.
 	TraceEventRecord = obs.Event
-	// TraceEventKind discriminates traced actions (obs.LinkTx, ...).
-	TraceEventKind = obs.Kind
 	// TraceSink consumes traced events.
 	TraceSink = obs.Sink
 	// TraceSinkFunc adapts a plain function into a TraceSink.
 	TraceSinkFunc = obs.SinkFunc
-	// TraceRecorder is the bounded ring-buffer flight recorder.
-	TraceRecorder = obs.Recorder
 	// TraceSeries is the time-bucketed series sink.
 	TraceSeries = obs.Series
 )
 
-// Traced event kinds, re-exported for sinks written against the root API.
-const (
-	TracePacketGenerated = obs.PacketGenerated
-	TracePacketDelivered = obs.PacketDelivered
-	TracePacketExpired   = obs.PacketExpired
-	TraceLinkTx          = obs.LinkTx
-	TraceLinkAck         = obs.LinkAck
-	TraceLinkRetry       = obs.LinkRetry
-	TraceLinkFailure     = obs.LinkFailure
-	TraceQueueDrop       = obs.QueueDrop
-	TraceFrameLost       = obs.FrameLost
-	TraceReroute         = obs.Reroute
-	TraceFaultInjected   = obs.FaultInjected
-	TraceGatewayDeath    = obs.GatewayDeath
-	TraceNodeDeath       = obs.NodeDeath
-	TraceNodeRecover     = obs.NodeRecover
-	TraceSample          = obs.Sample
-)
+// TracePacketDelivered is the traced kind of a reading reaching a gateway;
+// internal/obs lists the others.
+const TracePacketDelivered = obs.PacketDelivered
 
 // NewTraceBus returns an event bus with the given sinks attached.
 func NewTraceBus(sinks ...obs.Sink) *TraceBus { return obs.NewBus(sinks...) }
-
-// NewTraceRecorder returns a flight recorder keeping the last n events.
-func NewTraceRecorder(n int) *TraceRecorder { return obs.NewRecorder(n) }
 
 // NewWorld builds an empty world with the given seed and defaults.
 func NewWorld(seed int64) *World { return node.NewWorld(node.Config{Seed: seed}) }
@@ -405,21 +279,16 @@ func NewMetrics() *Metrics { return core.NewMetrics() }
 // DefaultParams returns the default protocol parameters.
 func DefaultParams() Params { return core.DefaultParams() }
 
-// Protocol stack constructors (sensor side / gateway side).
+// SPR stack constructors (sensor side / gateway side) and SecMLR key
+// pre-distribution.
 var (
-	NewSPRSensor     = core.NewSPRSensor
-	NewSPRGateway    = core.NewSPRGateway
-	NewMLRSensor     = core.NewMLRSensor
-	NewMLRGateway    = core.NewMLRGateway
-	NewSecMLRSensor  = core.NewSecMLRSensor
-	NewSecMLRGateway = core.NewSecMLRGateway
-	ProvisionKeys    = core.ProvisionKeys
+	NewSPRSensor  = core.NewSPRSensor
+	NewSPRGateway = core.NewSPRGateway
+	ProvisionKeys = core.ProvisionKeys
 )
 
 // Mesh backbone (the middle layer of the architecture).
 type (
-	// MeshRouter is a link-state router on a mesh-capable device.
-	MeshRouter = mesh.Router
 	// MeshBackbone wires devices into one routed mesh.
 	MeshBackbone = mesh.Backbone
 	// MeshConfig tunes the mesh control plane.
@@ -428,7 +297,6 @@ type (
 
 // Mesh constructors.
 var (
-	NewMeshRouter     = mesh.NewRouter
 	NewMeshBackbone   = mesh.NewBackbone
 	DefaultMeshConfig = mesh.DefaultConfig
 )
@@ -441,56 +309,11 @@ type (
 	Replayer = attack.Replayer
 	// Sinkhole forges irresistible routes and swallows traffic.
 	Sinkhole = attack.Sinkhole
-	// HelloFlood broadcasts forged long-range gateway notifications.
-	HelloFlood = attack.HelloFlood
-	// Sybil originates data under forged identities.
-	Sybil = attack.Sybil
-	// AckSpoofer drops data and fakes gateway acknowledgments.
-	AckSpoofer = attack.AckSpoofer
 )
 
-// Attack constructors.
-var (
-	NewReplayer = attack.NewReplayer
-	NewWormhole = attack.NewWormhole
-)
-
-// Baseline stacks.
-var (
-	NewFloodingStack  = baseline.NewFlooding
-	NewGossipingStack = baseline.NewGossiping
-	NewDirectStack    = baseline.NewDirect
-	NewMCFAStack      = baseline.NewMCFA
-	NewLEACHStack     = baseline.NewLEACH
-	NewPEGASISStack   = baseline.NewPEGASIS
-	NewSPINStack      = baseline.NewSPIN
-	NewRumorStack     = baseline.NewRumorNode
-	NewDiffusionStack = baseline.NewDiffusion
-	NewDiffusionSink  = baseline.NewDiffusionSink
-	NewSinkStack      = baseline.NewSink
-)
-
-// Placement models (§4.1).
-type (
-	// PlacementStrategy places k gateways for a sensor field.
-	PlacementStrategy = placement.Strategy
-	// PlacementEval summarizes hop statistics of a placement.
-	PlacementEval = placement.Eval
-)
-
-// Placement helpers.
-var (
-	EvaluatePlacement = placement.Evaluate
-	RotationSchedule  = placement.RotationSchedule
-	SlidingSchedule   = placement.SlidingSchedule
-	Kmax              = placement.Kmax
-)
-
-// Graph is the unit-disk connectivity view of a deployment.
-type Graph = network.Graph
-
-// GraphFromWorld builds the sensor-layer connectivity graph of a world.
-func GraphFromWorld(w *World) *Graph { return network.FromWorld(w) }
+// NewReplayer builds a Replayer that re-injects captured packets of the
+// given kinds (default: DATA only) after a delay.
+var NewReplayer = attack.NewReplayer
 
 // Experiments exposes the reproduction suite (E1..E15) programmatically;
 // cmd/wmsnbench is its CLI.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wmsn"
+	"wmsn/internal/network"
 )
 
 // The facade tests exercise the public API exactly as the README shows it,
@@ -32,7 +33,7 @@ func TestBuildAndMutateFlow(t *testing.T) {
 	if net.Rounds == nil {
 		t.Fatal("MLR build has no round controller")
 	}
-	g := wmsn.GraphFromWorld(net.World)
+	g := network.FromWorld(net.World)
 	if g.Len() != 42 { // 40 sensors + 2 gateways
 		t.Fatalf("graph has %d vertices", g.Len())
 	}
@@ -85,25 +86,7 @@ func TestExperimentSuiteExposed(t *testing.T) {
 	}
 }
 
-func TestPlacementFacade(t *testing.T) {
-	sensors := []wmsn.Point{{X: 0}, {X: 10}, {X: 20}, {X: 30}}
-	ev := wmsn.EvaluatePlacement(sensors, []wmsn.Point{{X: 40}}, 12)
-	if ev.MaxHops != 4 {
-		t.Fatalf("MaxHops = %d", ev.MaxHops)
-	}
-	if k := wmsn.Kmax([]float64{1, 2, 2.01}, 0.05); k != 2 {
-		t.Fatalf("Kmax = %d", k)
-	}
-	if sched := wmsn.RotationSchedule(4, 2, 3); len(sched) != 3 {
-		t.Fatalf("schedule rounds = %d", len(sched))
-	}
-}
-
 func TestAttackFacade(t *testing.T) {
-	wh, a, bEnd := wmsn.NewWormhole()
-	if a == nil || bEnd == nil || wh == nil {
-		t.Fatal("wormhole constructor returned nils")
-	}
 	r := wmsn.NewReplayer(wmsn.Second)
 	if r == nil {
 		t.Fatal("replayer nil")
