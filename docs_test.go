@@ -1,0 +1,46 @@
+package wmsn_test
+
+import (
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var (
+	// docPath matches a written-out path such as internal/core/stack.go.
+	docPath = regexp.MustCompile(`\b(?:examples|cmd|internal)(?:/[A-Za-z0-9_.-]+)+`)
+	// treeParent and treeChild match README's architecture tree, where a
+	// package sits on an indented "name/" line under its "internal/" line.
+	treeParent = regexp.MustCompile(`^(cmd|internal)/\s*$`)
+	treeChild  = regexp.MustCompile(`^  ([A-Za-z0-9_.-]+)/`)
+)
+
+// TestDocPathsExist checks that every examples/, cmd/ and internal/ path
+// the top-level documents name exists, so they describe no program that
+// was never written or has since been deleted.
+func TestDocPathsExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := ""
+		for i, line := range strings.Split(string(b), "\n") {
+			paths := docPath.FindAllString(line, -1)
+			if m := treeParent.FindStringSubmatch(line); m != nil {
+				parent = m[1]
+			} else if m := treeChild.FindStringSubmatch(line); m != nil && parent != "" {
+				paths = append(paths, parent+"/"+m[1])
+			} else {
+				parent = ""
+			}
+			for _, p := range paths {
+				p = strings.TrimRight(p, ".")
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, p)
+				}
+			}
+		}
+	}
+}

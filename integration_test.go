@@ -9,7 +9,7 @@ import (
 // TestThreeLayerEndToEnd exercises the full Fig. 1 architecture in one
 // test: sensor fields (802.15.4) -> WMG gateways -> mesh backbone (802.11)
 // with a WMR relay -> base station, including mesh self-healing after the
-// relay fails. It is the examples/building scenario in assertable form.
+// relay fails.
 func TestThreeLayerEndToEnd(t *testing.T) {
 	w := wmsn.NewWorld(99)
 	metrics := wmsn.NewMetrics()
