@@ -62,7 +62,7 @@ experiments-quick:
 faults:
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race ./internal/attack/
-	$(GO) test -race -run 'Fault|Churn|FailsOver|Validate|RunE|Compromised' ./internal/scenario/
+	$(GO) test -race -run 'Fault|Churn|FailsOver|Validate|RunE|ReturnsError|Compromised' ./internal/scenario/
 	$(GO) test -race -run 'ReHeals|Resume' ./internal/mesh/
 
 # Seeded chaos/soak harness under the race detector: randomized fault
@@ -74,14 +74,16 @@ soak:
 
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
 # and SecMLR stacks, the incremental spatial grid, which fills every radio
-# receiver list, and wmsnd's request decoder and validator.
+# receiver list, and wmsnd's request decoder and validator. A worker
+# reports no execs while it minimizes a new input, for up to 60 s by
+# default, so minimizing is capped at 1 s to leave the 30 s for fuzzing.
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
-	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s ./internal/geom/
-	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/service/
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s -fuzzminimizetime=1s ./internal/packet/
+	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
+	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/
 
 # Simulation-as-a-service daemon: build the binary, then the endpoint,
 # cancellation and 64-client load tests under the race detector.

@@ -6,6 +6,7 @@
 package wmsn_test
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -61,7 +62,11 @@ func seedSetMallocs(t *testing.T, cfg func(seed int64) wmsn.Config) uint64 {
 	t.Helper()
 	pass := func() {
 		for seed := int64(1); seed <= 8; seed++ {
-			if res := wmsn.Run(cfg(seed)); res.Metrics.Delivered == 0 {
+			res, err := wmsn.RunContext(context.Background(), cfg(seed))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if res.Metrics.Delivered == 0 {
 				t.Fatalf("seed %d delivered nothing", seed)
 			}
 		}

@@ -23,7 +23,10 @@ func runExperiment(b *testing.B, id string) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tables := e.Run(benchOpts())
+			tables, err := e.Run(benchOpts())
+			if err != nil {
+				b.Fatalf("%s: %v", id, err)
+			}
 			if len(tables) == 0 {
 				b.Fatalf("%s produced no tables", id)
 			}
@@ -113,7 +116,7 @@ func arqWorkload(loss float64) func(seed int64) wmsn.Config {
 // SPR workload (events include every radio delivery).
 func BenchmarkEndToEndSPR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := wmsn.Run(sprWorkload(int64(i + 1)))
+		res := mustRun(b, sprWorkload(int64(i+1)))
 		if res.Metrics.Delivered == 0 {
 			b.Fatal("nothing delivered")
 		}
@@ -124,7 +127,7 @@ func BenchmarkEndToEndSPR(b *testing.B) {
 // included.
 func BenchmarkEndToEndSecMLR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := wmsn.Run(secMLRWorkload(int64(i + 1)))
+		res := mustRun(b, secMLRWorkload(int64(i+1)))
 		if res.Metrics.Delivered == 0 {
 			b.Fatal("nothing delivered")
 		}
@@ -145,7 +148,7 @@ func BenchmarkEndToEndARQ(b *testing.B) {
 			var delivery float64
 			var retries uint64
 			for i := 0; i < b.N; i++ {
-				res := wmsn.Run(v.cfg(int64(i + 1)))
+				res := mustRun(b, v.cfg(int64(i+1)))
 				if res.Metrics.Delivered == 0 {
 					b.Fatal("nothing delivered")
 				}
@@ -173,7 +176,7 @@ func BenchmarkAblationShortcut(b *testing.B) {
 			var ctrl uint64
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				res := wmsn.Run(wmsn.Config{
+				res := mustRun(b, wmsn.Config{
 					Seed: int64(i + 1), Protocol: wmsn.SPR,
 					NumSensors: 80, Side: 180, SensorRange: 40, NumGateways: 2,
 					ReportInterval: 10 * wmsn.Second, RunFor: 60 * wmsn.Second,
@@ -203,7 +206,7 @@ func BenchmarkAblationGatewayWait(b *testing.B) {
 				params := wmsn.DefaultParams()
 				params.GatewayWait = wait
 				params.FloodJitter = 20 * wmsn.Millisecond
-				res := wmsn.Run(wmsn.Config{
+				res := mustRun(b, wmsn.Config{
 					Seed: int64(i + 1), Protocol: wmsn.SecMLR,
 					NumSensors: 60, Side: 160, SensorRange: 40, NumGateways: 2,
 					RoundLen: 30 * wmsn.Second, ReportInterval: 10 * wmsn.Second,
@@ -242,7 +245,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 				if v.sliding {
 					cfg.Schedule = placement.SlidingSchedule(4, 2, 8)
 				}
-				res := wmsn.Run(cfg)
+				res := mustRun(b, cfg)
 				ctrl += res.Metrics.ControlPackets()
 				delivered += res.Metrics.Delivered
 			}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -106,7 +107,7 @@ func main() {
 		cfg.Obs = bus
 	}
 
-	res, err := wmsn.RunE(cfg)
+	res, err := wmsn.RunContext(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wmsnsim: %v\n", err)
 		os.Exit(2)

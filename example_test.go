@@ -70,26 +70,10 @@ func ExampleRunEach() {
 	// run 2: delivery 100%
 }
 
-// ExampleRun shows the legacy one-call entry point: like RunContext, but
-// panicking on invalid configurations and without cancellation.
-func ExampleRun() {
-	res := wmsn.Run(wmsn.Config{
-		Seed:        1,
-		Protocol:    wmsn.SPR,
-		NumSensors:  50,
-		Side:        150,
-		SensorRange: 35,
-		NumGateways: 3,
-		RunFor:      60 * wmsn.Second,
-	})
-	fmt.Printf("delivery %.0f%%\n", 100*res.Metrics.DeliveryRatio())
-	// Output: delivery 100%
-}
-
-// ExampleRunE shows the error-returning entry point: an invalid
-// configuration is reported instead of panicking.
-func ExampleRunE() {
-	_, err := wmsn.RunE(wmsn.Config{NumSensors: -5, LossRate: 1.0})
+// ExampleRunContext_invalid shows an invalid configuration reported as one
+// joined error instead of a panic.
+func ExampleRunContext_invalid() {
+	_, err := wmsn.RunContext(context.Background(), wmsn.Config{NumSensors: -5, LossRate: 1.0})
 	fmt.Println(err)
 	// Output:
 	// scenario: invalid config: NumSensors -5 is negative — deploy at least one sensor
@@ -100,7 +84,7 @@ func ExampleRunE() {
 // with later recovery, and a gateway kill the protocol must route around.
 // The Result carries a Reliability summary of the recovery.
 func ExampleConfig_faults() {
-	res := wmsn.Run(wmsn.Config{
+	res, err := wmsn.RunContext(context.Background(), wmsn.Config{
 		Seed:        1,
 		Protocol:    wmsn.SPR,
 		NumSensors:  50,
@@ -113,6 +97,10 @@ func ExampleConfig_faults() {
 			RecoverAt(50*wmsn.Second, 1).
 			KillGateway(60*wmsn.Second, 0),
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	rel := res.Reliability
 	gwLoss := rel.Windows[1]
 	fmt.Printf("faults %d, reroutes > 0: %v, delivery after %s recovered: %v\n",
@@ -120,13 +108,13 @@ func ExampleConfig_faults() {
 	// Output: faults 2, reroutes > 0: true, delivery after kill-gw 0 recovered: true
 }
 
-// ExampleBuild shows the two-phase form with the imperative hooks that a
+// ExampleBuildE shows the two-phase form with the imperative hooks that a
 // declarative fault plan cannot express: Obs taps the event stream (here
 // counting deliveries at one gateway), and StackWrapper compromises chosen
 // stacks in place (here a grayhole insider dropping most forwarded data).
-func ExampleBuild() {
+func ExampleBuildE() {
 	delivered := 0
-	net := wmsn.Build(wmsn.Config{
+	net, err := wmsn.BuildE(wmsn.Config{
 		Seed:        1,
 		Protocol:    wmsn.SPR,
 		NumSensors:  50,
@@ -146,6 +134,10 @@ func ExampleBuild() {
 			}
 		})),
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	res := net.RunTraffic()
 	fmt.Println("run completed:", res.Elapsed > 0 && delivered >= 0)
 	// Output: run completed: true

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -13,7 +14,7 @@ import (
 )
 
 func main() {
-	res, err := wmsn.RunE(wmsn.Config{
+	res, err := wmsn.RunContext(context.Background(), wmsn.Config{
 		Seed:        42,
 		Protocol:    wmsn.SPR,
 		NumSensors:  100,

@@ -88,7 +88,7 @@ func TestProtocolsUnderImperfectRadio(t *testing.T) {
 			t.Parallel()
 			params := wmsn.DefaultParams()
 			params.FloodJitter = 20 * wmsn.Millisecond // de-synchronize broadcast storms
-			res := wmsn.Run(wmsn.Config{
+			res := mustRun(t, wmsn.Config{
 				Seed: 5, Protocol: proto,
 				NumSensors: 60, Side: 150, SensorRange: 40, NumGateways: 2,
 				RoundLen: 30 * wmsn.Second, ReportInterval: 10 * wmsn.Second,
@@ -114,7 +114,7 @@ func TestProtocolsUnderImperfectRadio(t *testing.T) {
 // bit-identical metrics.
 func TestDeterministicFullStack(t *testing.T) {
 	run := func() (uint64, uint64, uint64, uint64) {
-		net := wmsn.Build(wmsn.Config{
+		net := mustBuild(t, wmsn.Config{
 			Seed: 31, Protocol: wmsn.SecMLR,
 			NumSensors: 50, Side: 150, SensorRange: 40, NumGateways: 2,
 			RoundLen: 20 * wmsn.Second, ReportInterval: 10 * wmsn.Second,
@@ -143,7 +143,7 @@ func TestDeterministicFullStack(t *testing.T) {
 // multi-gateway SPR outlives single-sink SPR, and MLR outlives both.
 func TestLifetimeOrderingHolds(t *testing.T) {
 	lifetime := func(proto wmsn.Protocol, gws int) float64 {
-		res := wmsn.Run(wmsn.Config{
+		res := mustRun(t, wmsn.Config{
 			Seed: 3, Protocol: proto,
 			NumSensors: 60, Side: 200, SensorRange: 45, NumGateways: gws,
 			ReportInterval: 5 * wmsn.Second, RoundLen: 30 * wmsn.Second, Rounds: 64,

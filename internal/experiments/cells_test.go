@@ -12,12 +12,12 @@ import (
 // × protocol) campaign, each snapshot carrying the failover-latency
 // histogram with p50/p95/p99, and cells byte-identical across worker counts.
 func TestE15CellsCarryFailoverPercentiles(t *testing.T) {
-	run := func(workers int) *CellSink {
+	cells := func(workers int) *CellSink {
 		sink := &CellSink{}
-		E15Adversarial(Opts{Quick: true, Seeds: 1, Workers: workers, Cells: sink})
+		mustRun(t, E15Adversarial, Opts{Quick: true, Seeds: 1, Workers: workers, Cells: sink})
 		return sink
 	}
-	sink := run(1)
+	sink := cells(1)
 
 	// Quick scale: 4 unattacked baselines + 5 attacks × 1 fraction × 4
 	// protocols.
@@ -49,7 +49,7 @@ func TestE15CellsCarryFailoverPercentiles(t *testing.T) {
 
 	// Worker count must be invisible: same cells, byte for byte.
 	a, _ := json.Marshal(sink.Cells)
-	b, _ := json.Marshal(run(8).Cells)
+	b, _ := json.Marshal(cells(8).Cells)
 	if string(a) != string(b) {
 		t.Fatal("E15 cells differ between workers=1 and workers=8")
 	}
@@ -60,7 +60,7 @@ func TestE15CellsCarryFailoverPercentiles(t *testing.T) {
 // latter carrying link-retry and queue-depth histograms for ARQ variants.
 func TestE13E14CellsLabeled(t *testing.T) {
 	sink := &CellSink{}
-	E13Reliability(Opts{Quick: true, Seeds: 1, Cells: sink})
+	mustRun(t, E13Reliability, Opts{Quick: true, Seeds: 1, Cells: sink})
 	if want := 4 + 2; len(sink.Cells) != want { // gateway_kill variants + churn variants
 		t.Fatalf("E13 emitted %d cells, want %d", len(sink.Cells), want)
 	}
@@ -73,7 +73,7 @@ func TestE13E14CellsLabeled(t *testing.T) {
 	}
 
 	sink = &CellSink{}
-	E14LinkARQ(Opts{Quick: true, Seeds: 1, Cells: sink})
+	mustRun(t, E14LinkARQ, Opts{Quick: true, Seeds: 1, Cells: sink})
 	if want := 4 * 2; len(sink.Cells) != want { // variants × quick losses
 		t.Fatalf("E14 emitted %d cells, want %d", len(sink.Cells), want)
 	}

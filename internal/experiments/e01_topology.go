@@ -62,7 +62,7 @@ func fig2Topology() (pos map[packet.NodeID]geom.Point, named map[string]packet.N
 // E1HopReduction reproduces Fig. 2 exactly and generalizes it: average hop
 // count to the nearest gateway as the number of gateways grows on a random
 // field (§4.1's motivation for multiple-gateway deployment).
-func E1HopReduction(o Opts) []*trace.Table {
+func E1HopReduction(o Opts) ([]*trace.Table, error) {
 	// Part A: the exact worked example.
 	pos, named, gws := fig2Topology()
 	ranges := map[packet.NodeID]float64{}
@@ -94,13 +94,16 @@ func E1HopReduction(o Opts) []*trace.Table {
 	sweep := trace.NewTable(
 		fmt.Sprintf("E1b: avg hops to nearest gateway, %d sensors uniform on %.0fm field", n, side),
 		"gateways m", "avg hops", "max hops", "total hops (∝ energy)", "unreachable")
-	evals := forEach(o, maxM*seeds, func(i int) placement.Eval {
+	evals, err := forEach(o, maxM*seeds, func(i int) (placement.Eval, error) {
 		m, s := i/seeds+1, i%seeds
 		w := node.NewWorld(node.Config{Seed: int64(1000*m + s)})
 		sensors := (geom.Uniform{}).Deploy(n, geom.Square(side), w.Kernel().Rand())
 		gpos := (placement.Grid{}).Place(sensors, m, geom.Square(side), w.Kernel().Rand())
-		return placement.Evaluate(sensors, gpos, rangeM)
+		return placement.Evaluate(sensors, gpos, rangeM), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for m := 1; m <= maxM; m++ {
 		var avg, maxH, tot, unre float64
 		for s := 0; s < seeds; s++ {
@@ -114,14 +117,14 @@ func E1HopReduction(o Opts) []*trace.Table {
 		sweep.AddRow(m, avg/f, maxH/f, tot/f, unre/f)
 	}
 	sweep.AddNote("grid placement, range %.0f m, %d seeds", rangeM, seeds)
-	return []*trace.Table{exact, sweep}
+	return []*trace.Table{exact, sweep}, nil
 }
 
 // E2Table1 replays the paper's Table 1: |P|=5 feasible places A..E, m=3
 // gateways, three rounds ({A,B,C} -> {A,D,C} -> {E,D,C}); it prints node
 // Si's incremental routing table after each round, with the selected route
 // starred.
-func E2Table1(o Opts) []*trace.Table {
+func E2Table1(o Opts) ([]*trace.Table, error) {
 	sensors := make([]geom.Point, 12)
 	for i := range sensors {
 		sensors[i] = geom.Point{X: float64(i) * 10}
@@ -138,9 +141,8 @@ func E2Table1(o Opts) []*trace.Table {
 	roundLen := 20 * sim.Second
 
 	// E2 is one multi-round simulation whose rounds share routing state, so
-	// there is nothing to fan out; it rides the worker pool as a single job
-	// like every other experiment.
-	return forEach(o, 1, func(int) []*trace.Table { return e2Rounds(sensors, places, names, schedule, roundLen) })[0]
+	// there is nothing to fan out.
+	return e2Rounds(sensors, places, names, schedule, roundLen), nil
 }
 
 func e2Rounds(sensors []geom.Point, places []geom.Point, names []string, schedule [][]int, roundLen sim.Duration) []*trace.Table {
@@ -205,7 +207,7 @@ func deployedNames(r *core.Rounds, names []string) string {
 // with a single sink, hop counts and delivery latency grow with field size;
 // multiple gateways flatten the curve. Density is held constant while the
 // field grows.
-func E3Scalability(o Opts) []*trace.Table {
+func E3Scalability(o Opts) ([]*trace.Table, error) {
 	sizes := pick(o, []int{100, 200, 400, 800}, []int{60, 120})
 	seeds := o.seeds(2)
 	tbl := trace.NewTable("E3: scalability at constant density (SPR, uniform field)",
@@ -224,7 +226,10 @@ func E3Scalability(o Opts) []*trace.Table {
 			}
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	i := 0
 	for _, n := range sizes {
 		side := 200 * math.Sqrt(float64(n)/100)
@@ -242,5 +247,5 @@ func E3Scalability(o Opts) []*trace.Table {
 		}
 	}
 	tbl.AddNote("%d seeds per row; gateways grid-placed", seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -35,7 +35,7 @@ func lifetimeCfg(o Opts, seed int64) scenario.Config {
 // the paper's claim that multi-gateway routing balances consumption and that
 // MLR's gateway rotation extends lifetime beyond static shortest-path
 // routing (§5.3), with the flat baselines for contrast.
-func E4Lifetime(o Opts) []*trace.Table {
+func E4Lifetime(o Opts) ([]*trace.Table, error) {
 	type variant struct {
 		name     string
 		protocol scenario.Protocol
@@ -62,7 +62,10 @@ func E4Lifetime(o Opts) []*trace.Table {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range variants {
 		var life, delivered, meanE, cv, ratio float64
 		for s := 0; s < seeds; s++ {
@@ -83,13 +86,13 @@ func E4Lifetime(o Opts) []*trace.Table {
 	tbl.AddNote("first-order radio model, %d seeds; lifetime capped at the horizon when nobody died", seeds)
 	tbl.AddNote("Direct maximizes first-death lifetime on fields this small by spending no relay energy, " +
 		"but burns ~2x the per-node energy and collapses with field size (E3); the multi-hop story is SPR-vs-MLR")
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }
 
 // E5GatewayNumber reproduces the gateway-number model result (§4.1, after
 // ref. [34]): lifetime grows with the number of gateways k but saturates at
 // some Kmax beyond which more gateways stop helping.
-func E5GatewayNumber(o Opts) []*trace.Table {
+func E5GatewayNumber(o Opts) ([]*trace.Table, error) {
 	maxK := pick(o, 8, 4)
 	seeds := o.seeds(5)
 	tbl := trace.NewTable("E5: lifetime vs number of gateways k (SPR, grid placement)",
@@ -104,7 +107,10 @@ func E5GatewayNumber(o Opts) []*trace.Table {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for k := 1; k <= maxK; k++ {
 		var life, hops, meanE, ratio float64
 		for s := 0; s < seeds; s++ {
@@ -125,5 +131,5 @@ func E5GatewayNumber(o Opts) []*trace.Table {
 	kmax := placement.Kmax(lifetimes, 0.05)
 	tbl.AddNote("Kmax (≥5%% marginal lifetime gain) = %d — adding gateways beyond this stops helping, matching ref. [34]", kmax)
 	_ = fmt.Sprintf
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -16,7 +16,7 @@ import (
 // failures, a single-sink network loses far more data than a multi-gateway
 // one, because every extra gateway is an independent escape route. Failures
 // hit at mid-run; the reported ratio covers traffic generated afterwards.
-func E6Robustness(o Opts) []*trace.Table {
+func E6Robustness(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 150, 60)
 	side := pick(o, 220.0, 150.0)
 	horizon := pick(o, 160*sim.Second, 80*sim.Second)
@@ -38,10 +38,13 @@ func E6Robustness(o Opts) []*trace.Table {
 			}
 		}
 	}
-	ratios := forEach(o, len(jobs), func(i int) float64 {
+	ratios, err := forEach(o, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		return failureRun(int64(300+j.s), n, side, j.gws, j.frac, horizon)
 	})
+	if err != nil {
+		return nil, err
+	}
 	i := 0
 	for _, frac := range fracs {
 		row := []any{fmt.Sprintf("%.0f%%", frac*100)}
@@ -56,18 +59,21 @@ func E6Robustness(o Opts) []*trace.Table {
 		tbl.AddRow(row...)
 	}
 	tbl.AddNote("%d sensors, %d seeds; ratio counts only packets generated after the failures", n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }
 
 // failureRun runs SPR, fails frac of the sensors at half-horizon, and
 // returns the delivery ratio of post-failure traffic.
-func failureRun(seed int64, n int, side float64, gws int, frac float64, horizon sim.Time) float64 {
-	net := scenario.Build(scenario.Config{
+func failureRun(seed int64, n int, side float64, gws int, frac float64, horizon sim.Time) (float64, error) {
+	net, err := scenario.BuildE(scenario.Config{
 		Seed: seed, Protocol: scenario.SPR, NumSensors: n, Side: side,
 		SensorRange: 40, NumGateways: gws,
 		ReportInterval: 10 * sim.Second, RunFor: horizon,
 		SensorBattery: 1e6, // robustness study: failures are injected, not battery-driven
 	})
+	if err != nil {
+		return 0, err
+	}
 	net.StartTraffic()
 	net.World.Run(horizon / 2)
 	genBefore := net.Metrics.Generated
@@ -83,9 +89,9 @@ func failureRun(seed int64, n int, side float64, gws int, frac float64, horizon 
 	genAfter := net.Metrics.Generated - genBefore
 	delAfter := net.Metrics.Delivered - delBefore
 	if genAfter == 0 {
-		return 0
+		return 0, nil
 	}
-	return float64(delAfter) / float64(genAfter)
+	return float64(delAfter) / float64(genAfter), nil
 }
 
 func aliveSensors(net *scenario.Net) []packet.NodeID {
@@ -102,7 +108,7 @@ func aliveSensors(net *scenario.Net) []packet.NodeID {
 // the only sink silences a flat WSN entirely, while killing one of m
 // gateways only degrades a WMSN — surviving gateways keep absorbing data
 // (rediscovery steers traffic to them).
-func E7SinkFailure(o Opts) []*trace.Table {
+func E7SinkFailure(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 120, 50)
 	side := pick(o, 200.0, 140.0)
 	horizon := pick(o, 160*sim.Second, 80*sim.Second)
@@ -121,11 +127,14 @@ func E7SinkFailure(o Opts) []*trace.Table {
 		{"SecMLR, 3 gateways, kill 1 (ACK failover)", scenario.SecMLR, 3},
 	}
 	type sample struct{ before, after float64 }
-	samples := forEach(o, len(variants)*seeds, func(i int) sample {
+	samples, err := forEach(o, len(variants)*seeds, func(i int) (sample, error) {
 		v, s := variants[i/seeds], i%seeds
-		b, a := sinkFailureRun(int64(400+s), v.proto, n, side, v.gws, horizon)
-		return sample{b, a}
+		b, a, err := sinkFailureRun(int64(400+s), v.proto, n, side, v.gws, horizon)
+		return sample{b, a}, err
 	})
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range variants {
 		var before, after float64
 		for s := 0; s < seeds; s++ {
@@ -141,11 +150,11 @@ func E7SinkFailure(o Opts) []*trace.Table {
 	}
 	tbl.AddNote("%d sensors, %d seeds; plain MLR keeps sending to the dead gateway's place (it never "+
 		"announces its departure), while SecMLR's missing ACKs trigger failover to survivors", n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }
 
-func sinkFailureRun(seed int64, proto scenario.Protocol, n int, side float64, gws int, horizon sim.Time) (before, after float64) {
-	net := scenario.Build(scenario.Config{
+func sinkFailureRun(seed int64, proto scenario.Protocol, n int, side float64, gws int, horizon sim.Time) (before, after float64, err error) {
+	net, err := scenario.BuildE(scenario.Config{
 		Seed: seed, Protocol: proto, NumSensors: n, Side: side,
 		SensorRange: 40, NumGateways: gws,
 		// Static deployment: every gateway sits at its own place all run.
@@ -155,6 +164,9 @@ func sinkFailureRun(seed int64, proto scenario.Protocol, n int, side float64, gw
 		ReportInterval: 10 * sim.Second, RunFor: horizon,
 		SensorBattery: 1e6,
 	})
+	if err != nil {
+		return 0, 0, err
+	}
 	net.StartTraffic()
 	net.World.Run(horizon / 2)
 	genBefore, delBefore := net.Metrics.Generated, net.Metrics.Delivered
@@ -168,7 +180,7 @@ func sinkFailureRun(seed int64, proto scenario.Protocol, n int, side float64, gw
 	if genAfter > 0 {
 		after = float64(delAfter) / float64(genAfter)
 	}
-	return before, after
+	return before, after, nil
 }
 
 func identity(k int) []int {
@@ -182,7 +194,7 @@ func identity(k int) []int {
 // E8LoadBalance reproduces the §4.3 load concern: hotspot traffic (a forest
 // fire in one corner) overloads the nearest gateway under least-hop routing;
 // MLR's rotation spreads the load across gateways over time.
-func E8LoadBalance(o Opts) []*trace.Table {
+func E8LoadBalance(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 150, 60)
 	side := pick(o, 220.0, 150.0)
 	horizon := pick(o, 240*sim.Second, 120*sim.Second)
@@ -234,7 +246,10 @@ func E8LoadBalance(o Opts) []*trace.Table {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range variants {
 		var share, imb, ratio float64
 		for s := 0; s < seeds; s++ {
@@ -258,5 +273,5 @@ func E8LoadBalance(o Opts) []*trace.Table {
 	}
 	tbl.AddNote("%d sensors, %d seeds; imbalance 1.0 = perfectly even; two remedies shown: "+
 		"spatial rotation vs load-shedding redirection", n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -18,7 +18,7 @@ import (
 // damage), accepted forged readings (Sybil damage), and the victim's
 // rejection/failover counters. The paper's claim is qualitative ("SecMLR can
 // resist most of attacks"); this table is its quantitative shape.
-func E9AttackMatrix(o Opts) []*trace.Table {
+func E9AttackMatrix(o Opts) ([]*trace.Table, error) {
 	attacks := []string{"none", "replay", "spoofed-routing (sinkhole)", "selective-forwarding",
 		"hello-flood", "sybil", "wormhole", "ack-spoofing"}
 	protos := []scenario.Protocol{scenario.MLR, scenario.SecMLR}
@@ -26,29 +26,36 @@ func E9AttackMatrix(o Opts) []*trace.Table {
 		"attack", "protocol", "delivery", "duplicates", "forged accepted", "rejected", "failovers")
 	// Each (attack, protocol) cell is an independent run; fan the whole
 	// matrix out and render in matrix order.
-	type cell struct {
-		res    scenario.Result
-		forged uint64
+	var cfgs []scenario.Config
+	for _, atk := range attacks {
+		for _, proto := range protos {
+			cfgs = append(cfgs, attackCfg(o, atk, proto))
+		}
 	}
-	cells := forEach(o, len(attacks)*len(protos), func(i int) cell {
-		res, forged := attackRun(o, attacks[i/len(protos)], protos[i%len(protos)])
-		return cell{res, forged}
-	})
-	for i, c := range cells {
-		m := c.res.Metrics
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		m := res.Metrics
+		var forged uint64
+		for id := 0; id < 5; id++ {
+			forged += m.DeliveredFrom(packet.NodeID(sybilIdentityBase + id))
+		}
 		tbl.AddRow(attacks[i/len(protos)], string(protos[i%len(protos)]), m.DeliveryRatio(),
-			m.Duplicates, c.forged, m.RejectedMAC+m.RejectedReplay, m.Failovers)
+			m.Duplicates, forged, m.RejectedMAC+m.RejectedReplay, m.Failovers)
 	}
 	tbl.AddNote("ack-spoofing degenerates to a blackhole under MLR (no ACKs exist to forge)")
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }
 
-// sybilIdentityBase is the forged-identity range used by the Sybil cell.
+// sybilIdentityBase is the forged-identity range used by the Sybil cell;
+// E9 counts the readings gateways accept from its five identities as
+// forged.
 const sybilIdentityBase = 7000
 
-// attackRun executes one (attack, protocol) cell and returns the result plus
-// the count of forged readings accepted at gateways.
-func attackRun(o Opts, atk string, proto scenario.Protocol) (scenario.Result, uint64) {
+// attackCfg is the config of one (attack, protocol) cell.
+func attackCfg(o Opts, atk string, proto scenario.Protocol) scenario.Config {
 	n := pick(o, 80, 40)
 	side := pick(o, 180.0, 140.0)
 	horizon := pick(o, 150*sim.Second, 80*sim.Second)
@@ -123,12 +130,7 @@ func attackRun(o Opts, atk string, proto scenario.Protocol) (scenario.Result, ui
 	default:
 		panic(fmt.Sprintf("unknown attack %q", atk))
 	}
-	res := scenario.Run(cfg)
-	var forged uint64
-	for i := 0; i < 5; i++ {
-		forged += res.Metrics.DeliveredFrom(packet.NodeID(sybilIdentityBase + i))
-	}
-	return res, forged
+	return cfg
 }
 
 // E10SecurityOverhead quantifies what SecMLR's protection costs relative to
@@ -137,7 +139,7 @@ func attackRun(o Opts, atk string, proto scenario.Protocol) (scenario.Result, ui
 // is that the scheme works "in an energy-efficient way" by pushing the heavy
 // work to gateways; the sensors' overhead is the MAC/counters bytes and the
 // loss of the intermediate-answer shortcut.
-func E10SecurityOverhead(o Opts) []*trace.Table {
+func E10SecurityOverhead(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 100, 50)
 	side := pick(o, 200.0, 140.0)
 	horizon := pick(o, 300*sim.Second, 120*sim.Second)
@@ -157,7 +159,10 @@ func E10SecurityOverhead(o Opts) []*trace.Table {
 			})
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for pi, proto := range protos {
 		var ratio, ctrl, data, bytes, eng, lat float64
 		for s := 0; s < seeds; s++ {
@@ -173,5 +178,5 @@ func E10SecurityOverhead(o Opts) []*trace.Table {
 		tbl.AddRow(string(proto), ratio/f, ctrl/f, data/f, bytes/f, eng/f, lat/f)
 	}
 	tbl.AddNote("%d sensors, %d seeds; SecMLR adds per-gateway MAC blocks, TESLA disclosures and end-to-end ACKs", n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -17,7 +17,7 @@ import (
 // scheduling (duty cycling) trades delivery and latency for reception
 // energy, and k-neighbor power control shrinks transmission ranges (and so
 // transmission energy) while keeping the field connected.
-func E11TopologyControl(o Opts) []*trace.Table {
+func E11TopologyControl(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 120, 60)
 	side := pick(o, 200.0, 150.0)
 	horizon := pick(o, 200*sim.Second, 100*sim.Second)
@@ -62,7 +62,10 @@ func E11TopologyControl(o Opts) []*trace.Table {
 			})
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range variants {
 		var ratio, eng, rxShare, lat float64
 		for s := 0; s < seeds; s++ {
@@ -78,28 +81,31 @@ func E11TopologyControl(o Opts) []*trace.Table {
 		tbl.AddRow(v.name, ratio/f, eng/f, rxShare/f, lat/f)
 	}
 	tbl.AddNote("%d sensors, %d seeds; rx share = fraction of sensor energy spent receiving", n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }
 
 // E12SPRConvergence verifies the E12/Property-1 claims at scale: SPR's
 // discovered routes are BFS-optimal on loss-free media, and its control
 // overhead (RREQ floods plus RRES responses, amortized by route caching)
 // grows manageably with network size.
-func E12SPRConvergence(o Opts) []*trace.Table {
+func E12SPRConvergence(o Opts) ([]*trace.Table, error) {
 	sizes := pick(o, []int{50, 100, 200, 400}, []int{40, 80})
 	seeds := o.seeds(3)
 	tbl := trace.NewTable("E12: SPR route optimality and control overhead vs size",
 		"sensors n", "optimal routes", "control pkts", "ctrl per delivered", "delivery")
 	type sample struct{ optFrac, ctrl, perDel, ratio float64 }
-	samples := forEach(o, len(sizes)*seeds, func(i int) sample {
+	samples, err := forEach(o, len(sizes)*seeds, func(i int) (sample, error) {
 		n, s := sizes[i/seeds], i%seeds
 		side := 200 * math.Sqrt(float64(n)/100)
-		net := scenario.Build(scenario.Config{
+		net, err := scenario.BuildE(scenario.Config{
 			Seed: int64(1200 + s), Protocol: scenario.SPR, NumSensors: n, Side: side,
 			SensorRange: 40, NumGateways: 3,
 			ReportInterval: 15 * sim.Second, RunFor: 90 * sim.Second,
 			SensorBattery: 1e6,
 		})
+		if err != nil {
+			return sample{}, err
+		}
 		res := net.RunTraffic()
 		// Compare every sensor's discovered hop count with the BFS
 		// optimum over the final topology.
@@ -128,8 +134,11 @@ func E12SPRConvergence(o Opts) []*trace.Table {
 			out.perDel = out.ctrl / float64(res.Metrics.Delivered)
 		}
 		out.ratio = res.Metrics.DeliveryRatio()
-		return out
+		return out, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for ni, n := range sizes {
 		var optFrac, ctrl, perDel, ratio float64
 		for s := 0; s < seeds; s++ {
@@ -143,5 +152,5 @@ func E12SPRConvergence(o Opts) []*trace.Table {
 		tbl.AddRow(n, fmt.Sprintf("%.1f%%", 100*optFrac/f), ctrl/f, perDel/f, ratio/f)
 	}
 	tbl.AddNote("loss-free medium, %d seeds; optimality = discovered hops == BFS optimum", seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -15,7 +15,7 @@ import (
 // dead gateway through liveness advertisements (SPR/MLR) or missing ACKs
 // (SecMLR) and fail over to survivors; a flat cost-field baseline keeps
 // pushing data toward the dead sink and never recovers.
-func E13Reliability(o Opts) []*trace.Table {
+func E13Reliability(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 120, 50)
 	side := pick(o, 200.0, 140.0)
 	horizon := pick(o, 160*sim.Second, 80*sim.Second)
@@ -48,7 +48,10 @@ func E13Reliability(o Opts) []*trace.Table {
 			})
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range variants {
 		o.Cells.add("E13", map[string]string{
 			"scenario": "gateway_kill",
@@ -98,7 +101,10 @@ func E13Reliability(o Opts) []*trace.Table {
 			})
 		}
 	}
-	results = runConfigs(o, cfgs)
+	results, err = runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for vi, v := range churnVariants {
 		o.Cells.add("E13", map[string]string{
 			"scenario": "churn",
@@ -121,5 +127,5 @@ func E13Reliability(o Opts) []*trace.Table {
 	}
 	churnTbl.AddNote("churn rate %.0f crashes/sensor-hour, MTTR 5 s; flooding rides out churn on sheer "+
 		"redundancy — note its per-delivery radio cost — while SPR pays only for reroutes", rate)
-	return []*trace.Table{killTbl, churnTbl}
+	return []*trace.Table{killTbl, churnTbl}, nil
 }

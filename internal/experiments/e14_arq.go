@@ -16,7 +16,7 @@ import (
 // while per-hop acknowledgment with 4 retries drives residual per-hop loss
 // to 0.2^5 ≈ 0.03%, keeping end-to-end delivery near 100%. The retry and
 // queue-drop columns price that reliability in extra transmissions.
-func E14LinkARQ(o Opts) []*trace.Table {
+func E14LinkARQ(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 100, 40)
 	side := pick(o, 200.0, 130.0)
 	horizon := pick(o, 120*sim.Second, 60*sim.Second)
@@ -58,7 +58,10 @@ func E14LinkARQ(o Opts) []*trace.Table {
 			}
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	ci := 0
 	for _, v := range variants {
 		for _, loss := range losses {
@@ -89,5 +92,5 @@ func E14LinkARQ(o Opts) []*trace.Table {
 	tbl.AddNote("%d sensors, 3 gateways, %d seeds; ARQ = 4 retries, 10 ms base ACK wait, "+
 		"exponential backoff, 32-frame forwarding queue; loss is applied per link per frame",
 		n, seeds)
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

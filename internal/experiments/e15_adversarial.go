@@ -20,7 +20,7 @@ import (
 // the same as §6's — SecMLR's end-to-end ACK failover holds delivery at or
 // above plain MLR/SPR at every nonzero attacker fraction, while flooding
 // survives on redundancy and pays for it in radio cost.
-func E15Adversarial(o Opts) []*trace.Table {
+func E15Adversarial(o Opts) ([]*trace.Table, error) {
 	n := pick(o, 80, 40)
 	side := pick(o, 180.0, 140.0)
 	horizon := pick(o, 150*sim.Second, 80*sim.Second)
@@ -90,7 +90,10 @@ func E15Adversarial(o Opts) []*trace.Table {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := runConfigs(o, cfgs)
+	results, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
 
 	// Per-campaign distributional export: one labeled cell per (attack ×
 	// fraction × protocol), merging the cell's seeds. The cell snapshots
@@ -129,5 +132,5 @@ func E15Adversarial(o Opts) []*trace.Table {
 	}
 	tbl.AddNote("%d sensors, %d seeds; compromise hits at t=%.0fs; victims are identical across protocols per "+
 		"(attack, frac) cell; failover counts SecMLR end-to-end ACK reroutes", n, seeds, sim.Time(horizon/4).Seconds())
-	return []*trace.Table{tbl}
+	return []*trace.Table{tbl}, nil
 }

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,8 +37,8 @@ type Opts struct {
 	// Metrics, when non-nil, absorbs the merged end-to-end metrics of
 	// every scenario executed through the shared harness path (runConfigs),
 	// folded in submission order so the aggregate is identical at any
-	// worker count. Sweep jobs that drive scenarios inside custom per-job
-	// code (e.g. mid-run failure injection) are not captured.
+	// worker count. Jobs that drive a built network by hand to fail nodes
+	// mid-run (E6, E7) or to inspect its routes (E12) are not captured.
 	Metrics *metrics.Aggregate
 	// Trace, when non-nil, spools one JSONL event trace per harness run.
 	// The same caveat as Metrics applies: only runs through runConfigs are
@@ -151,16 +152,29 @@ func pick[T any](o Opts, full, quick T) T {
 }
 
 // forEach fans the experiment's n independent jobs out on the worker pool
-// and returns the results in submission order. Every job must derive all of
-// its randomness from its index (its own seed/world); nothing may be shared.
-func forEach[T any](o Opts, n int, job func(i int) T) []T {
-	return runner.Map(o.Workers, n, job)
+// and returns the results in submission order, or the error of the
+// lowest-index job that failed. Every job must derive all of its randomness
+// from its index (its own seed/world); nothing may be shared.
+func forEach[T any](o Opts, n int, job func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	var firstErr error
+	runner.MapEach(o.Workers, n, job, func(i int, v T, err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		out[i] = v
+	})
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
 }
 
-// runConfigs executes scenario configs on the worker pool, in cfgs order.
-// When Opts.Metrics is set, every run's metrics fold into the aggregate in
-// cfgs order before the results are returned.
-func runConfigs(o Opts, cfgs []scenario.Config) []scenario.Result {
+// runConfigs executes scenario configs on the worker pool, in cfgs order,
+// and returns the lowest-index run's error if any run fails. When
+// Opts.Metrics is set, every run's metrics fold into the aggregate in cfgs
+// order before the results are returned.
+func runConfigs(o Opts, cfgs []scenario.Config) ([]scenario.Result, error) {
 	var caps []*obs.Capture
 	if o.Trace != nil {
 		caps = make([]*obs.Capture, len(cfgs))
@@ -171,7 +185,13 @@ func runConfigs(o Opts, cfgs []scenario.Config) []scenario.Result {
 			cfgs[i].Obs = bus
 		}
 	}
-	results := scenario.RunMany(o.Workers, cfgs)
+	results := make([]scenario.Result, len(cfgs))
+	err := scenario.RunEach(context.TODO(), o.Workers, cfgs, func(i int, r scenario.Result, _ error) {
+		results[i] = r
+	})
+	if err != nil {
+		return nil, err
+	}
 	if o.Metrics != nil {
 		for i := range results {
 			o.Metrics.Absorb(results[i].Metrics)
@@ -180,14 +200,14 @@ func runConfigs(o Opts, cfgs []scenario.Config) []scenario.Result {
 	for _, c := range caps {
 		o.Trace.write(c.Events)
 	}
-	return results
+	return results, nil
 }
 
 // Experiment is one entry of the suite.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Opts) []*trace.Table
+	Run   func(Opts) ([]*trace.Table, error)
 }
 
 // All returns the full suite in order.

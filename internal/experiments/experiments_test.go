@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,18 +11,29 @@ import (
 
 	"wmsn/internal/network"
 	"wmsn/internal/packet"
+	"wmsn/internal/scenario"
 	"wmsn/internal/sim"
 	"wmsn/internal/trace"
 )
 
 func quickOpts() Opts { return Opts{Quick: true, Seeds: 1} }
 
+// mustRun runs experiment fn with o and fails the test on error.
+func mustRun(t testing.TB, fn func(Opts) ([]*trace.Table, error), o Opts) []*trace.Table {
+	t.Helper()
+	tables, err := fn(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tables := e.Run(quickOpts())
+			tables := mustRun(t, e.Run, quickOpts())
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
@@ -58,7 +70,7 @@ func TestFig2TopologyMatchesPaperExactly(t *testing.T) {
 }
 
 func TestE1TablesShowReduction(t *testing.T) {
-	tables := E1HopReduction(quickOpts())
+	tables := mustRun(t, E1HopReduction, quickOpts())
 	if len(tables) != 2 {
 		t.Fatalf("E1 returned %d tables", len(tables))
 	}
@@ -72,7 +84,7 @@ func TestE1TablesShowReduction(t *testing.T) {
 }
 
 func TestE2TablesGrow(t *testing.T) {
-	tables := E2Table1(quickOpts())
+	tables := mustRun(t, E2Table1, quickOpts())
 	if len(tables) != 3 {
 		t.Fatalf("E2 returned %d tables, want 3 rounds", len(tables))
 	}
@@ -97,7 +109,7 @@ func TestE2TablesGrow(t *testing.T) {
 }
 
 func TestE5KmaxNoteEmitted(t *testing.T) {
-	tables := E5GatewayNumber(quickOpts())
+	tables := mustRun(t, E5GatewayNumber, quickOpts())
 	out := tables[0].String()
 	if !strings.Contains(out, "Kmax") {
 		t.Fatalf("E5 missing Kmax note:\n%s", out)
@@ -105,7 +117,7 @@ func TestE5KmaxNoteEmitted(t *testing.T) {
 }
 
 func TestE9MatrixHasAllCells(t *testing.T) {
-	tables := E9AttackMatrix(quickOpts())
+	tables := mustRun(t, E9AttackMatrix, quickOpts())
 	out := tables[0].String()
 	for _, atk := range []string{"none", "replay", "sinkhole", "selective", "hello-flood", "sybil", "wormhole", "ack-spoofing"} {
 		if !strings.Contains(out, atk) {
@@ -144,13 +156,47 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 					exp = e
 				}
 			}
-			seq := render(exp.Run(Opts{Quick: true, Seeds: 1, Workers: 1}))
-			par := render(exp.Run(Opts{Quick: true, Seeds: 1, Workers: 8}))
+			seq := render(mustRun(t, exp.Run, Opts{Quick: true, Seeds: 1, Workers: 1}))
+			par := render(mustRun(t, exp.Run, Opts{Quick: true, Seeds: 1, Workers: 8}))
 			if seq != par {
 				t.Fatalf("%s output differs between workers=1 and workers=8:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 					id, seq, par)
 			}
 		})
+	}
+}
+
+// A failing run comes back from runConfigs as an error, not a panic, and
+// it is the lowest-index failure at any worker count.
+func TestRunConfigsReturnsLowestIndexError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfgs := make([]scenario.Config, 5)
+		for i := range cfgs {
+			cfgs[i] = scenario.Config{Seed: int64(i), NumSensors: 20, RunFor: 10 * sim.Second}
+		}
+		cfgs[1].NumSensors = -1
+		cfgs[3].NumSensors = -3
+		results, err := runConfigs(Opts{Workers: workers}, cfgs)
+		if err == nil || !strings.Contains(err.Error(), "NumSensors -1 ") {
+			t.Fatalf("workers=%d: runConfigs returned %v, want config 1's error", workers, err)
+		}
+		if results != nil {
+			t.Fatalf("workers=%d: runConfigs returned %d results with its error", workers, len(results))
+		}
+	}
+}
+
+// forEach returns the lowest-index job's error at any worker count.
+func TestForEachReturnsLowestIndexError(t *testing.T) {
+	errs := []error{nil, errors.New("job 1"), nil, errors.New("job 3"), nil}
+	for _, workers := range []int{1, 4} {
+		out, err := forEach(Opts{Workers: workers}, len(errs), func(i int) (int, error) { return i, errs[i] })
+		if !errors.Is(err, errs[1]) {
+			t.Fatalf("workers=%d: forEach returned %v, want job 1's error", workers, err)
+		}
+		if out != nil {
+			t.Fatalf("workers=%d: forEach returned %v with its error", workers, out)
+		}
 	}
 }
 
@@ -176,7 +222,7 @@ func TestExperimentIDsUniqueAndOrdered(t *testing.T) {
 // parsed back out of the rendered output so the assertion covers exactly
 // what EXPERIMENTS.md shows.
 func TestE15SecMLRHoldsDelivery(t *testing.T) {
-	out := E15Adversarial(quickOpts())[0].String()
+	out := mustRun(t, E15Adversarial, quickOpts())[0].String()
 	type row struct {
 		attack   string
 		delivery float64
@@ -227,7 +273,7 @@ func TestGoldenOutputQuick(t *testing.T) {
 	var buf strings.Builder
 	for _, e := range All() {
 		fmt.Fprintf(&buf, "==== %s: %s ====\n", e.ID, e.Title)
-		for _, tbl := range e.Run(Opts{Quick: true}) {
+		for _, tbl := range mustRun(t, e.Run, Opts{Quick: true}) {
 			buf.WriteString(tbl.String())
 			buf.WriteByte('\n')
 		}
@@ -259,7 +305,7 @@ func TestTraceSpoolByteIdenticalAcrossWorkers(t *testing.T) {
 	spool := func(workers int) map[string]string {
 		dir := t.TempDir()
 		tr := &TraceDir{Dir: dir, Prefix: "e13", Sample: sim.Second}
-		E13Reliability(Opts{Quick: true, Seeds: 1, Workers: workers, Trace: tr})
+		mustRun(t, E13Reliability, Opts{Quick: true, Seeds: 1, Workers: workers, Trace: tr})
 		if err := tr.Err(); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"wmsn/internal/geom"
@@ -36,7 +35,6 @@ func scaleSide(n int) float64 {
 // (n, seed) and independent of workers: grid placement ignores the RNG and
 // each evaluation builds its own graph.
 func ScaleSweep(o Opts, n int, gateways []int, seed int64) *trace.Table {
-	workers := runner.Resolve(o.Workers)
 	side := scaleSide(n)
 	w := node.NewWorld(node.Config{Seed: seed})
 	sensors := (geom.Uniform{}).Deploy(n, geom.Square(side), w.Kernel().Rand())
@@ -47,32 +45,24 @@ func ScaleSweep(o Opts, n int, gateways []int, seed int64) *trace.Table {
 		ev placement.Eval
 		ms float64
 	}
-	rows := make([]row, len(gateways))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, m := range gateways {
-		wg.Add(1)
-		go func(i, m int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			// Per-worker RNG: Grid placement never draws from it, but the
-			// shared kernel RNG must not cross goroutines.
-			rng := rand.New(rand.NewSource(seed + int64(m)))
-			gpos := (placement.Grid{}).Place(sensors, m, geom.Square(side), rng)
-			rows[i] = row{
-				ev: placement.Evaluate(sensors, gpos, 40),
-				ms: float64(time.Since(start).Microseconds()) / 1000,
-			}
-		}(i, m)
-	}
-	wg.Wait()
+	// The jobs return no error, so neither does forEach.
+	rows, _ := forEach(o, len(gateways), func(i int) (row, error) {
+		m := gateways[i]
+		start := time.Now()
+		// Per-job RNG: Grid placement never draws from it, but the shared
+		// kernel RNG must not cross goroutines.
+		rng := rand.New(rand.NewSource(seed + int64(m)))
+		gpos := (placement.Grid{}).Place(sensors, m, geom.Square(side), rng)
+		return row{
+			ev: placement.Evaluate(sensors, gpos, 40),
+			ms: float64(time.Since(start).Microseconds()) / 1000,
+		}, nil
+	})
 	for i, m := range gateways {
 		tbl.AddRow(m, rows[i].ev.AvgHops, rows[i].ev.MaxHops, rows[i].ev.Unreachable,
 			fmt.Sprintf("%.1f", rows[i].ms))
 	}
-	tbl.AddNote(fmt.Sprintf("grid placement, range 40 m, constant density vs E1b, %d workers", workers))
+	tbl.AddNote(fmt.Sprintf("grid placement, range 40 m, constant density vs E1b, %d workers", runner.Resolve(o.Workers)))
 	return tbl
 }
 

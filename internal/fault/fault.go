@@ -4,7 +4,7 @@
 // region-wide loss degradation, and background sensor churn — and an
 // Injector executes the plan on a run's own event kernel. Because every
 // scheduled action and every churn draw comes from the run's kernel and RNG,
-// faulted runs stay bit-identical under scenario.RunMany at any worker
+// faulted runs stay bit-identical under scenario.RunEach at any worker
 // count; the Plan itself is read-only after Attach and safe to share.
 //
 // The paper's reliability claims (§3 self-healing backbone, §5.2

@@ -104,7 +104,7 @@ type Injector struct {
 
 // Attach schedules every event of the plan onto the run's kernel and starts
 // churn. The plan is only read, never written, so a single plan value is
-// safe to share across RunMany workers; all randomness (churn inter-arrival
+// safe to share across RunEach workers; all randomness (churn inter-arrival
 // and repair times) comes from the run's own kernel RNG, keeping faulted
 // runs bit-identical at any worker count. Call Finish after the run to
 // collect the Reliability summary.

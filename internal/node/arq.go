@@ -20,7 +20,7 @@ import (
 // routing can reroute around the dead hop instead of silently losing data.
 //
 // Everything is scheduled on the simulation kernel and draws no randomness,
-// so enabling ARQ keeps runs bit-identical across RunMany worker counts;
+// so enabling ARQ keeps runs bit-identical across RunEach worker counts;
 // with ARQ disabled (the default) no code on these paths executes at all
 // and unfaulted runs stay byte-identical to previous revisions.
 

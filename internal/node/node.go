@@ -442,11 +442,11 @@ type Config struct {
 	Obs *obs.Bus
 	// EventPool / SensorPool / MeshPool, when non-nil, seed the world's
 	// kernel and radio media with recycled storage from an earlier run and
-	// receive it back via ReleasePools — the arena that lets RunMany reuse
+	// receive it back via ReleasePools — the arena that lets sweeps reuse
 	// event and delivery structs across runs instead of reallocating them.
 	// Each pool must be owned exclusively by one world at a time.
-	// scenario.Run wires these automatically; nil (the default) allocates
-	// fresh storage.
+	// scenario.RunContext wires these automatically; nil (the default)
+	// allocates fresh storage.
 	EventPool  *sim.EventPool
 	SensorPool *radio.Pool
 	MeshPool   *radio.Pool

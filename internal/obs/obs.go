@@ -16,7 +16,7 @@
 // Determinism: events carry virtual (sim.Kernel) timestamps and are emitted
 // synchronously from kernel callbacks, so a traced run produces a
 // byte-identical event stream for a given (Config, Seed) no matter how many
-// RunMany workers execute sibling runs — each run must simply own its bus.
+// RunEach workers execute sibling runs — each run must simply own its bus.
 package obs
 
 import (
@@ -191,7 +191,7 @@ func (f SinkFunc) Observe(ev Event) { f(ev) }
 
 // Bus fans emitted events out to its sinks. The zero value and the nil
 // pointer are both valid, inert buses; Emit on them is a no-op. A Bus must
-// be exclusive to one simulation run — sharing one across RunMany workers
+// be exclusive to one simulation run — sharing one across RunEach workers
 // would interleave streams nondeterministically.
 type Bus struct {
 	// Sample asks the scenario layer to schedule a periodic kernel sampler

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"wmsn/internal/node"
 	"wmsn/internal/packet"
 	"wmsn/internal/protocol"
-	"wmsn/internal/runner"
 	"wmsn/internal/scenario"
 	"wmsn/internal/sim"
 )
@@ -69,39 +69,35 @@ func TestRegisterRejectsBadBuilders(t *testing.T) {
 // registered but un-runnable.
 func TestEveryRegisteredProtocolRuns(t *testing.T) {
 	ids := protocol.IDs()
-	type verdict struct {
-		id                   protocol.ID
-		generated, delivered uint64
+	cfgs := make([]scenario.Config, len(ids))
+	for i, id := range ids {
+		b, _ := protocol.Lookup(id)
+		gw := 1
+		if b.Caps.MultiGateway {
+			gw = 3
+		}
+		cfgs[i] = scenario.Config{
+			Seed: 7, Protocol: id, NumSensors: 40, Side: 120,
+			SensorRange: 35, NumGateways: gw, RunFor: 90 * sim.Second,
+			RoundLen: 30 * sim.Second, ReportInterval: 15 * sim.Second,
+		}
 	}
-	// Runs fan out on the parallel runner and fold back in submission
-	// order, so the report below is deterministic.
-	verdicts := runner.MapReduce(0, len(ids),
-		func(i int) verdict {
-			b, _ := protocol.Lookup(ids[i])
-			gw := 1
-			if b.Caps.MultiGateway {
-				gw = 3
+	// Runs fan out on the worker pool and arrive in submission order, so
+	// the report below is deterministic. Each subtest reports its own run's
+	// error, so RunEach's first error adds nothing.
+	_ = scenario.RunEach(context.Background(), 0, cfgs, func(i int, res scenario.Result, err error) {
+		t.Run(string(ids[i]), func(t *testing.T) {
+			if err != nil {
+				t.Fatal(err)
 			}
-			res := scenario.Run(scenario.Config{
-				Seed: 7, Protocol: ids[i], NumSensors: 40, Side: 120,
-				SensorRange: 35, NumGateways: gw, RunFor: 90 * sim.Second,
-				RoundLen: 30 * sim.Second, ReportInterval: 15 * sim.Second,
-			})
-			return verdict{id: ids[i], generated: res.Metrics.Generated, delivered: res.Metrics.Delivered}
-		},
-		[]verdict(nil),
-		func(acc []verdict, v verdict) []verdict { return append(acc, v) })
-	for _, v := range verdicts {
-		v := v
-		t.Run(string(v.id), func(t *testing.T) {
-			if v.generated == 0 {
-				t.Fatalf("%s generated no traffic", v.id)
+			if res.Metrics.Generated == 0 {
+				t.Fatalf("%s generated no traffic", ids[i])
 			}
-			if v.delivered == 0 {
-				t.Fatalf("%s delivered nothing (generated %d)", v.id, v.generated)
+			if res.Metrics.Delivered == 0 {
+				t.Fatalf("%s delivered nothing (generated %d)", ids[i], res.Metrics.Generated)
 			}
 		})
-	}
+	})
 }
 
 // oneHop is the custom protocol of TestCustomProtocolViaRegistry: sensors
@@ -166,11 +162,14 @@ func TestCustomProtocolViaRegistry(t *testing.T) {
 			return inst, nil
 		},
 	})
-	res := scenario.Run(scenario.Config{
+	res, err := scenario.RunContext(context.Background(), scenario.Config{
 		Seed: 3, Protocol: custom, NumSensors: 25, Side: 60,
 		SensorRange: 100, NumGateways: 1, RunFor: 60 * sim.Second,
 		ReportInterval: 10 * sim.Second,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Metrics.Generated == 0 || res.Metrics.Delivered == 0 {
 		t.Fatalf("custom protocol did not run: generated=%d delivered=%d",
 			res.Metrics.Generated, res.Metrics.Delivered)
@@ -180,17 +179,11 @@ func TestCustomProtocolViaRegistry(t *testing.T) {
 	}
 }
 
-func TestBuilderErrorSurfacesAsScenarioPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic for impossible schedule")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "cannot build schedule") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
+func TestBuilderErrorSurfacesAsScenarioError(t *testing.T) {
 	// 3 gateways over 2 places: no rotation schedule exists.
-	scenario.Build(scenario.Config{Seed: 1, Protocol: protocol.MLR,
+	_, err := scenario.BuildE(scenario.Config{Seed: 1, Protocol: protocol.MLR,
 		NumSensors: 10, NumGateways: 3, Places: []geom.Point{{X: 1, Y: 1}, {X: 5, Y: 5}}})
+	if err == nil || !strings.Contains(err.Error(), "cannot build schedule") {
+		t.Fatalf("BuildE returned %v, want a cannot-build-schedule error", err)
+	}
 }

@@ -1,18 +1,18 @@
 // Package runner fans independent simulation runs out across a bounded
-// worker pool and merges their results deterministically.
+// worker pool and delivers their results deterministically.
 //
 // Every experiment in this repository averages many independently-seeded
 // wmsn runs (seed × sweep-point). Each run owns its kernel, RNG and world,
 // so runs never share mutable state and are safe to execute concurrently;
-// the only threat to reproducibility is merge order. Map therefore assigns
-// every job a submission index up front and stores each result at its own
-// index — the output is bit-identical to the sequential loop no matter how
-// the scheduler interleaves workers or in what order jobs complete.
+// the only threat to reproducibility is merge order. MapEach therefore
+// assigns every job a submission index up front and delivers each result in
+// index order — the output is bit-identical to the sequential loop no
+// matter how the scheduler interleaves workers or in what order jobs
+// complete.
 package runner
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,56 +28,12 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// Map runs fn(i) for every i in [0,n) on at most workers goroutines and
-// returns the n results ordered by submission index. workers<=0 selects
-// DefaultWorkers; workers==1 (or n==1) runs inline on the caller's
-// goroutine with no synchronization at all, which keeps the sequential
-// path byte-for-byte identical to a plain loop.
-//
-// fn must not touch state shared with other jobs: each invocation should
-// build its own world/kernel/metrics from its index. Jobs are handed out
-// through an atomic cursor, so cheap early jobs do not serialize behind an
-// expensive first job.
-func Map[T any](workers, n int, fn func(int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // MapEach runs fn(i) for every i in [0,n) on at most workers goroutines and
 // hands each (index, value, error) to deliver exactly once, in ascending
-// index order, on the caller's goroutine. It is the streaming counterpart of
-// Map: a long sweep's early results reach the consumer while later jobs are
-// still running, bounded only by completion skew (an out-of-order completion
-// is buffered until every lower index has been delivered).
+// index order, on the caller's goroutine. A long sweep's early results
+// reach the consumer while later jobs are still running, bounded only by
+// completion skew (an out-of-order completion is buffered until every lower
+// index has been delivered).
 //
 // workers<=0 selects DefaultWorkers; workers==1 (or n==1) runs inline with
 // no synchronization, so the sequential path produces byte-for-byte the
@@ -85,6 +41,11 @@ func Map[T any](workers, n int, fn func(int) T) []T {
 // that wants to stop early must make fn itself return fast (e.g. by checking
 // a context), which is exactly what scenario.RunEach does. deliver runs with
 // no lock held and may block; workers keep computing meanwhile.
+//
+// fn must not touch state shared with other jobs: each invocation should
+// build its own world/kernel/metrics from its index. Jobs are handed out
+// through an atomic cursor, so cheap early jobs do not serialize behind an
+// expensive first job.
 func MapEach[T any](workers, n int, fn func(int) (T, error), deliver func(int, T, error)) {
 	if n <= 0 {
 		return
@@ -135,17 +96,4 @@ func MapEach[T any](workers, n int, fn func(int) (T, error), deliver func(int, T
 			cursor++
 		}
 	}
-}
-
-// MapReduce runs fn(i) for every i in [0,n) on at most workers goroutines
-// and folds the results into acc in submission order: acc = fold(acc,
-// out[0]), then out[1], and so on. The fold runs on the caller's goroutine
-// after every job completes, so the reduction is deterministic regardless
-// of worker count or completion order — the property the metrics pipeline
-// relies on when merging per-run snapshots.
-func MapReduce[T, R any](workers, n int, fn func(int) T, acc R, fold func(R, T) R) R {
-	for _, v := range Map(workers, n, fn) {
-		acc = fold(acc, v)
-	}
-	return acc
 }

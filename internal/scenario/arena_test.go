@@ -16,18 +16,15 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 		SensorRange: 35, NumGateways: 2, LossRate: 0.1, Collisions: true,
 		RunFor: 30 * sim.Second}
 
-	// Reference: no arena (public Build path keeps worlds un-pooled).
-	fresh := Build(cfg).RunTraffic()
+	// Reference: no arena (the BuildE path keeps worlds un-pooled).
+	fresh := mustBuild(t, cfg).RunTraffic()
 
 	// Several pooled runs in sequence so later ones adopt storage harvested
 	// from earlier ones (sync.Pool is per-P; single goroutine makes reuse
 	// all but certain, and even a pool miss just degenerates to the
 	// reference behavior).
 	for i := 0; i < 4; i++ {
-		got, err := RunE(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, cfg)
 		if !reflect.DeepEqual(*got.Metrics, *fresh.Metrics) {
 			t.Fatalf("run %d: metrics diverge with arena reuse:\npooled: %+v\nfresh:  %+v",
 				i, *got.Metrics, *fresh.Metrics)
@@ -49,15 +46,12 @@ func TestArenaHarvestOfStoppedWorld(t *testing.T) {
 	cfg := Config{Seed: 3, Protocol: SPR, NumSensors: 20, Side: 100,
 		SensorRange: 40, NumGateways: 1, SensorBattery: 0.02,
 		StopAtFirstDeath: true, RunFor: 600 * sim.Second}
-	fresh := Build(cfg).RunTraffic()
+	fresh := mustBuild(t, cfg).RunTraffic()
 	if fresh.FirstDeath < 0 {
 		t.Fatal("config never kills a sensor; test needs a mid-run stop")
 	}
 	for i := 0; i < 3; i++ {
-		got, err := RunE(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, cfg)
 		if !reflect.DeepEqual(*got.Metrics, *fresh.Metrics) || got.FirstDeath != fresh.FirstDeath {
 			t.Fatalf("run %d: stopped-world harvest changed results: death %v vs %v",
 				i, got.FirstDeath, fresh.FirstDeath)

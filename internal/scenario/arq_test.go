@@ -79,9 +79,9 @@ func TestARQFaultedLossyRunDeterministicAcrossWorkers(t *testing.T) {
 		arqChaosConfig(42, MLR),
 		arqChaosConfig(43, SecMLR),
 	}
-	base := RunMany(1, cfgs)
+	base := mustRunEach(t, 1, cfgs)
 	for _, workers := range []int{4, 8} {
-		got := RunMany(workers, cfgs)
+		got := mustRunEach(t, workers, cfgs)
 		for i := range cfgs {
 			if !reflect.DeepEqual(base[i].Metrics.Snapshot(), got[i].Metrics.Snapshot()) {
 				t.Fatalf("cfg %d (%s): metrics differ between workers=1 and workers=%d:\n%v\nvs\n%v",
@@ -117,10 +117,10 @@ func TestARQKeepsDeliveryOnLossyMedium(t *testing.T) {
 			NumGateways: 3, RunFor: 60 * sim.Second, LossRate: 0.20,
 			SensorBattery: 1e6,
 		}
-		off := Run(base)
+		off := mustRun(t, base)
 		withARQ := base
 		withARQ.Params = &p
-		on := Run(withARQ)
+		on := mustRun(t, withARQ)
 		if r := on.Metrics.DeliveryRatio(); r < 0.95 {
 			t.Errorf("%s with ARQ: delivery %.3f at 20%% loss, want >= 0.95", proto, r)
 		}

@@ -22,7 +22,7 @@ func attackCfg(sp attack.Spec) Config {
 // actually compromises sensors that sit on routes: victims are chosen and
 // some of them drop forwarded data.
 func TestBlackholeCampaignEngages(t *testing.T) {
-	res := Run(attackCfg(attack.Spec{Kind: attack.KindBlackhole}))
+	res := mustRun(t, attackCfg(attack.Spec{Kind: attack.KindBlackhole}))
 	if res.Metrics.CompromisedNodes == 0 || res.Metrics.AttackerDropped == 0 {
 		t.Fatalf("attacked run never engaged: compromised=%d dropped=%d",
 			res.Metrics.CompromisedNodes, res.Metrics.AttackerDropped)
@@ -33,7 +33,7 @@ func TestBlackholeCampaignEngages(t *testing.T) {
 // byte-equal metrics: campaigns must be pure functions of the config.
 func TestCompromisedRunReproducible(t *testing.T) {
 	cfg := attackCfg(attack.Spec{Kind: attack.KindReplay, MaxCopies: 50})
-	a, b := Run(cfg), Run(cfg)
+	a, b := mustRun(t, cfg), mustRun(t, cfg)
 	sa, sb := a.Metrics.Snapshot(), b.Metrics.Snapshot()
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("attacked run diverged between identical invocations:\n%+v\nvs\n%+v", sa, sb)

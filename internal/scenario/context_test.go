@@ -81,31 +81,26 @@ func TestRunContextInvalidConfigIsNotCanceled(t *testing.T) {
 	}
 }
 
-func TestRunContextBackgroundMatchesRunE(t *testing.T) {
+// A cancelable context that is never canceled arms the kernel interrupt
+// and a watcher; neither may perturb the results a background context
+// gives.
+func TestRunContextBackgroundMatchesCancelable(t *testing.T) {
 	cfg := Config{Seed: 11, Protocol: SPR, NumSensors: 60, RunFor: 30 * sim.Second}
-	a, err := RunE(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cancelable-but-never-canceled context must not perturb results
-	// either.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c, err := RunContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]Result{"background": b, "cancelable": c} {
-		if got, want := snapshotJSON(t, r), snapshotJSON(t, a); got != want {
-			t.Fatalf("%s RunContext diverges from RunE:\n got %s\nwant %s", name, got, want)
-		}
-		if r.Elapsed != a.Elapsed || r.FirstDeath != a.FirstDeath || r.SensorsAlive != a.SensorsAlive {
-			t.Fatalf("%s RunContext summary fields diverge from RunE", name)
-		}
+	if got, want := snapshotJSON(t, c), snapshotJSON(t, a); got != want {
+		t.Fatalf("cancelable RunContext diverges from background:\n got %s\nwant %s", got, want)
+	}
+	if c.Elapsed != a.Elapsed || c.FirstDeath != a.FirstDeath || c.SensorsAlive != a.SensorsAlive {
+		t.Fatal("cancelable RunContext summary fields diverge from background")
 	}
 }
 
@@ -119,13 +114,14 @@ func snapshotJSON(t *testing.T, r Result) string {
 }
 
 // RunEach must deliver every index exactly once, ascending, with the same
-// bytes RunMany returns — at any worker count.
-func TestRunEachOrderAndBytesMatchRunMany(t *testing.T) {
+// bytes a sequential RunContext loop returns — at any worker count.
+func TestRunEachOrderAndBytesMatchSequential(t *testing.T) {
 	cfgs := make([]Config, 9)
+	want := make([]Result, len(cfgs))
 	for i := range cfgs {
 		cfgs[i] = Config{Seed: int64(100 + i), Protocol: SPR, NumSensors: 40 + 5*i, RunFor: 20 * sim.Second}
+		want[i] = mustRun(t, cfgs[i])
 	}
-	want := RunMany(1, append([]Config(nil), cfgs...))
 	for _, workers := range []int{1, 4} {
 		next := 0
 		err := RunEach(context.Background(), workers, cfgs, func(i int, r Result, err error) {
@@ -137,10 +133,10 @@ func TestRunEachOrderAndBytesMatchRunMany(t *testing.T) {
 			}
 			next++
 			if got, wantS := snapshotJSON(t, r), snapshotJSON(t, want[i]); got != wantS {
-				t.Fatalf("workers=%d: run %d metrics diverge from RunMany:\n got %s\nwant %s", workers, i, got, wantS)
+				t.Fatalf("workers=%d: run %d metrics diverge from the sequential loop:\n got %s\nwant %s", workers, i, got, wantS)
 			}
 			if r.Elapsed != want[i].Elapsed || r.FirstDeath != want[i].FirstDeath {
-				t.Fatalf("workers=%d: run %d summary fields diverge from RunMany", workers, i)
+				t.Fatalf("workers=%d: run %d summary fields diverge from the sequential loop", workers, i)
 			}
 		})
 		if err != nil {
@@ -152,7 +148,7 @@ func TestRunEachOrderAndBytesMatchRunMany(t *testing.T) {
 	}
 }
 
-func TestRunManyContextCanceledMidSweep(t *testing.T) {
+func TestRunEachCanceledMidSweep(t *testing.T) {
 	// A few quick runs, then long ones; cancel once the first quick results
 	// are in. Completed results must match direct runs; canceled entries must
 	// report errors.
@@ -174,10 +170,7 @@ func TestRunManyContextCanceledMidSweep(t *testing.T) {
 	err := RunEach(ctx, 2, cfgs, func(i int, r Result, err error) {
 		if err == nil {
 			delivered++
-			direct, derr := RunE(cfgs[i])
-			if derr != nil {
-				t.Fatal(derr)
-			}
+			direct := mustRun(t, cfgs[i])
 			if snapshotJSON(t, r) != snapshotJSON(t, direct) {
 				t.Fatalf("run %d completed before cancel but diverges from a direct run", i)
 			}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -140,7 +141,7 @@ func digestLine(t *testing.T, r digestRun) string {
 	bus.Sample = 5 * sim.Second
 	cfg := r.cfg
 	cfg.Obs = bus
-	res, err := RunE(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}

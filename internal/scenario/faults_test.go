@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -47,19 +48,19 @@ func TestValidateRejectsMisconfigurations(t *testing.T) {
 	}
 }
 
-func TestRunEReturnsErrorNotPanic(t *testing.T) {
-	if _, err := RunE(Config{Protocol: "carrier-pigeon"}); err == nil {
-		t.Fatal("RunE accepted an unknown protocol")
+func TestRunContextReturnsErrorNotPanic(t *testing.T) {
+	if _, err := RunContext(context.Background(), Config{Protocol: "carrier-pigeon"}); err == nil {
+		t.Fatal("RunContext accepted an unknown protocol")
 	}
 	if _, err := BuildE(Config{NumSensors: -1}); err == nil {
 		t.Fatal("BuildE accepted a negative sensor count")
 	}
-	res, err := RunE(Config{Seed: 1, NumSensors: 30, RunFor: 20 * sim.Second})
+	res, err := RunContext(context.Background(), Config{Seed: 1, NumSensors: 30, RunFor: 20 * sim.Second})
 	if err != nil {
 		t.Fatalf("valid config: %v", err)
 	}
 	if res.Metrics.Generated == 0 {
-		t.Fatal("valid RunE produced no traffic")
+		t.Fatal("valid RunContext produced no traffic")
 	}
 }
 
@@ -79,7 +80,7 @@ func gatewayFailoverConfig(seed int64) Config {
 }
 
 func TestSPRFailsOverOnGatewayKill(t *testing.T) {
-	res := Run(gatewayFailoverConfig(1))
+	res := mustRun(t, gatewayFailoverConfig(1))
 	rel := res.Reliability
 	if rel == nil {
 		t.Fatal("no Reliability summary on a faulted run")
@@ -116,8 +117,8 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 			KillGateway(30*sim.Second, 1).
 			WithChurn(fault.Churn{Rate: 120, MTTR: 2 * sim.Second}),
 	}}
-	seq := RunMany(1, cfgs)
-	par := RunMany(8, cfgs)
+	seq := mustRunEach(t, 1, cfgs)
+	par := mustRunEach(t, 8, cfgs)
 	for i := range cfgs {
 		a, b := seq[i], par[i]
 		if !reflect.DeepEqual(a.Metrics.Snapshot(), b.Metrics.Snapshot()) {
@@ -131,7 +132,7 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestChurnedScenarioHeals(t *testing.T) {
-	res := Run(Config{
+	res := mustRun(t, Config{
 		Seed: 5, Protocol: SPR, NumSensors: 40, Side: 120, SensorRange: 40,
 		NumGateways: 2, RunFor: 2 * sim.Minute,
 		Faults: fault.NewPlan().WithChurn(fault.Churn{

@@ -13,7 +13,7 @@ import "wmsn/internal/sim"
 //	for i := range cfgs {
 //		cfgs[i].Progress = board.Run(i)
 //	}
-//	... RunEach/RunMany ...    // poll board.Snapshot() meanwhile
+//	... RunEach ...    // poll board.Snapshot() meanwhile
 type ProgressBoard struct {
 	runs []sim.Progress
 }

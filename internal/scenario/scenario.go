@@ -6,7 +6,6 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -118,7 +117,7 @@ type Config struct {
 	// emits periodic gauge events (in-flight packets, ARQ queue depth,
 	// sensors alive, mean energy). The sampler only reads state, so a
 	// traced run's Result is identical to an untraced one. Each run must
-	// own its bus — sharing one across RunMany configs would interleave
+	// own its bus — sharing one across RunEach configs would interleave
 	// event streams nondeterministically.
 	Obs *obs.Bus
 
@@ -192,7 +191,7 @@ func Defaults(cfg Config) Config {
 	return cfg
 }
 
-// Validate checks the configuration for contradictions that Build would
+// Validate checks the configuration for contradictions that would
 // otherwise turn into a panic or a silently meaningless run. Defaults are
 // applied first, so a zero field is never an error — only an explicitly
 // wrong value is. All problems are reported at once via errors.Join, each
@@ -299,17 +298,6 @@ type Net struct {
 // GatewayID of the i-th gateway. The base sits far above any realistic
 // sensor count so scenario IDs never collide.
 func GatewayID(i int) packet.NodeID { return packet.NodeID(1_000_000 + i) }
-
-// Build constructs the network for cfg without starting traffic. It is the
-// panicking wrapper over BuildE for call sites that treat a bad
-// configuration as a programming error.
-func Build(cfg Config) *Net {
-	n, err := BuildE(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return n
-}
 
 // BuildE constructs the network for cfg without starting traffic. The
 // configuration is validated first (see Config.Validate); the protocol is
@@ -503,51 +491,6 @@ type Result struct {
 	// Reliability summarizes fault recovery; nil unless Config.Faults was
 	// set.
 	Reliability *fault.Reliability
-}
-
-// Run builds the network, drives traffic for cfg.RunFor, and summarizes.
-// It is the legacy panicking wrapper over RunE, kept for existing callers
-// and terse test code; new code should prefer RunE (validation errors) or
-// RunContext (validation errors plus cancellation and deadlines).
-func Run(cfg Config) Result {
-	res, err := RunE(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-// RunE builds the network, drives traffic for cfg.RunFor, and summarizes,
-// returning an error instead of panicking on an invalid configuration. It is
-// RunContext with a background context: no cancellation, identical code
-// path, identical results.
-//
-// Runs launched here draw their kernel/radio storage from a shared arena
-// pool: the world is private to this call and fully torn down before
-// returning, so its event structs and delivery buffers are recycled into
-// the next run instead of being garbage. Callers composing Build/BuildE +
-// RunTraffic themselves keep plain GC-managed worlds.
-func RunE(cfg Config) (Result, error) {
-	return runContext(context.Background(), cfg)
-}
-
-// RunMany executes every config on a bounded worker pool and returns the
-// results in cfgs order. Each run owns its kernel, RNG and world, and
-// results are merged by submission index, so the output is bit-identical to
-// calling Run in a loop regardless of workers (workers<=0 selects one per
-// CPU, 1 forces sequential execution). Configs with Mutate/StackWrapper
-// hooks are safe as long as the hooks touch only their own run's state.
-//
-// RunMany is the legacy buffering form: it panics on the first invalid
-// config and holds every Result until the whole sweep finishes. Callers that
-// need cancellation, per-run errors, or incremental delivery should use
-// RunManyContext or RunEach, which RunMany wraps.
-func RunMany(workers int, cfgs []Config) []Result {
-	out, err := RunManyContext(context.Background(), workers, cfgs)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
 }
 
 // RunTraffic starts traffic on an already-built network and runs to the

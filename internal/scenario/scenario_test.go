@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"wmsn/internal/energy"
@@ -11,6 +12,37 @@ import (
 	"wmsn/internal/protocol"
 	"wmsn/internal/sim"
 )
+
+// mustRun runs cfg to completion and fails the test on error.
+func mustRun(t testing.TB, cfg Config) Result {
+	t.Helper()
+	res, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustBuild builds cfg and fails the test on error.
+func mustBuild(t testing.TB, cfg Config) *Net {
+	t.Helper()
+	n, err := BuildE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// mustRunEach runs cfgs on workers and returns their results in cfgs
+// order, failing the test on the first error.
+func mustRunEach(t testing.TB, workers int, cfgs []Config) []Result {
+	t.Helper()
+	out := make([]Result, len(cfgs))
+	if err := RunEach(context.Background(), workers, cfgs, func(i int, r Result, _ error) { out[i] = r }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestDefaults(t *testing.T) {
 	cfg := Defaults(Config{})
@@ -28,7 +60,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestRunSPREndToEnd(t *testing.T) {
-	res := Run(Config{Seed: 1, Protocol: SPR, NumSensors: 60, Side: 150,
+	res := mustRun(t, Config{Seed: 1, Protocol: SPR, NumSensors: 60, Side: 150,
 		SensorRange: 35, NumGateways: 3, RunFor: 60 * sim.Second,
 		ReportInterval: 10 * sim.Second})
 	if res.Metrics.Generated == 0 {
@@ -58,7 +90,7 @@ func TestRunEveryProtocolSmoke(t *testing.T) {
 			if p != SPR && p != MLR && p != SecMLR {
 				gw = 1
 			}
-			res := Run(Config{Seed: 7, Protocol: p, NumSensors: 40, Side: 120,
+			res := mustRun(t, Config{Seed: 7, Protocol: p, NumSensors: 40, Side: 120,
 				SensorRange: 35, NumGateways: gw, RunFor: 90 * sim.Second,
 				RoundLen: 30 * sim.Second, ReportInterval: 15 * sim.Second,
 				EnergyModel: energy.DefaultFirstOrder})
@@ -148,9 +180,7 @@ func TestHandlersLeaveFramesUnmodified(t *testing.T) {
 			cfg.StackWrapper = func(_ packet.NodeID, st node.Stack) node.Stack {
 				return readOnlyStack{Stack: st, l: l}
 			}
-			if _, err := RunE(cfg); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, cfg)
 			l.recheck()
 			handled += l.handled
 			failures += l.failures
@@ -166,17 +196,8 @@ func TestHandlersLeaveFramesUnmodified(t *testing.T) {
 	}
 }
 
-func TestUnknownProtocolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown protocol")
-		}
-	}()
-	Build(Config{Protocol: "carrier-pigeon"})
-}
-
 func TestMLRRotationViaScenario(t *testing.T) {
-	n := Build(Config{Seed: 2, Protocol: MLR, NumSensors: 50, Side: 150,
+	n := mustBuild(t, Config{Seed: 2, Protocol: MLR, NumSensors: 50, Side: 150,
 		SensorRange: 35, NumGateways: 2, RoundLen: 20 * sim.Second, Rounds: 4,
 		RunFor: 90 * sim.Second})
 	if n.Rounds == nil {
@@ -198,7 +219,7 @@ func TestMLRRotationViaScenario(t *testing.T) {
 }
 
 func TestStopAtFirstDeath(t *testing.T) {
-	res := Run(Config{Seed: 3, Protocol: SPR, NumSensors: 30, Side: 100,
+	res := mustRun(t, Config{Seed: 3, Protocol: SPR, NumSensors: 30, Side: 100,
 		SensorRange: 35, NumGateways: 1, RunFor: sim.Hour,
 		ReportInterval:   200 * sim.Millisecond,
 		SensorBattery:    0.002, // tiny battery: dies quickly
@@ -213,7 +234,7 @@ func TestStopAtFirstDeath(t *testing.T) {
 
 func TestMutateHookRuns(t *testing.T) {
 	called := false
-	Run(Config{Seed: 1, Protocol: SPR, NumSensors: 10, Side: 80, SensorRange: 35,
+	mustRun(t, Config{Seed: 1, Protocol: SPR, NumSensors: 10, Side: 80, SensorRange: 35,
 		NumGateways: 1, RunFor: 10 * sim.Second,
 		Mutate: func(n *Net) {
 			called = true
@@ -227,7 +248,7 @@ func TestMutateHookRuns(t *testing.T) {
 }
 
 func TestStopTraffic(t *testing.T) {
-	n := Build(Config{Seed: 4, Protocol: SPR, NumSensors: 10, Side: 80,
+	n := mustBuild(t, Config{Seed: 4, Protocol: SPR, NumSensors: 10, Side: 80,
 		SensorRange: 35, NumGateways: 1, ReportInterval: sim.Second,
 		RunFor: 10 * sim.Second})
 	n.StartTraffic()
@@ -245,7 +266,7 @@ func TestStopTraffic(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, uint64) {
-		r := Run(Config{Seed: 42, Protocol: MLR, NumSensors: 40, Side: 120,
+		r := mustRun(t, Config{Seed: 42, Protocol: MLR, NumSensors: 40, Side: 120,
 			SensorRange: 35, NumGateways: 2, RunFor: 60 * sim.Second})
 		return r.Metrics.Generated, r.Metrics.Delivered
 	}
@@ -258,7 +279,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestExplicitPlacesAndSchedule(t *testing.T) {
 	places := []geom.Point{{X: 20, Y: 20}, {X: 100, Y: 100}}
-	n := Build(Config{Seed: 5, Protocol: MLR, NumSensors: 30, Side: 120,
+	n := mustBuild(t, Config{Seed: 5, Protocol: MLR, NumSensors: 30, Side: 120,
 		SensorRange: 35, NumGateways: 1, Places: places,
 		Schedule: [][]int{{0}, {1}}, RoundLen: 10 * sim.Second,
 		RunFor: 40 * sim.Second})
@@ -273,7 +294,7 @@ func TestExplicitPlacesAndSchedule(t *testing.T) {
 }
 
 func TestHotspotDeployViaScenario(t *testing.T) {
-	res := Run(Config{Seed: 6, Protocol: SPR, NumSensors: 60, Side: 150,
+	res := mustRun(t, Config{Seed: 6, Protocol: SPR, NumSensors: 60, Side: 150,
 		SensorRange: 35, NumGateways: 2,
 		Deploy: geom.Hotspot{Spot: geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40}, Fraction: 0.5},
 		RunFor: 60 * sim.Second})
@@ -284,7 +305,7 @@ func TestHotspotDeployViaScenario(t *testing.T) {
 
 func TestCSMAReducesCollisions(t *testing.T) {
 	run := func(csma bool) (collided, delivered uint64) {
-		res := Run(Config{Seed: 9, Protocol: SPR, NumSensors: 50, Side: 130,
+		res := mustRun(t, Config{Seed: 9, Protocol: SPR, NumSensors: 50, Side: 130,
 			SensorRange: 40, NumGateways: 2, ReportInterval: 5 * sim.Second,
 			RunFor: 60 * sim.Second, SensorBattery: 1e6,
 			Collisions: true, CSMA: csma})
@@ -308,7 +329,7 @@ func TestLargeScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-scale smoke test skipped in -short mode")
 	}
-	res := Run(Config{Seed: 1, Protocol: SPR, NumSensors: 500, Side: 450,
+	res := mustRun(t, Config{Seed: 1, Protocol: SPR, NumSensors: 500, Side: 450,
 		SensorRange: 40, NumGateways: 8, ReportInterval: 45 * sim.Second,
 		RunFor: 60 * sim.Second, SensorBattery: 1e6})
 	if res.Metrics.DeliveryRatio() < 0.95 {

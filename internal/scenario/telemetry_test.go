@@ -19,7 +19,7 @@ func TestWorkerCountAggregateIdentical(t *testing.T) {
 	}
 	snap := func(workers int) string {
 		agg := metrics.NewAggregate()
-		for _, r := range RunMany(workers, cfgs) {
+		for _, r := range mustRunEach(t, workers, cfgs) {
 			agg.Absorb(r.Metrics)
 		}
 		b, err := json.Marshal(agg.Snapshot())
@@ -42,7 +42,7 @@ func TestRunPublishesProgress(t *testing.T) {
 	board := NewProgressBoard(1)
 	cfg := Config{Protocol: SPR, Seed: 3, NumSensors: 60, RunFor: 30 * sim.Second,
 		Progress: board.Run(0)}
-	r := Run(cfg)
+	r := mustRun(t, cfg)
 	p := board.Snapshot(true)
 	if p.DoneRuns != 1 || !p.PerRun[0].Done {
 		t.Fatalf("run not marked done: %+v", p)

@@ -163,7 +163,7 @@ func TestSubmitStatusAndStreamReplay(t *testing.T) {
 		if l.Run != i {
 			t.Fatalf("result %d is for run %d; delivery must be in submission order", i, l.Run)
 		}
-		direct, err := scenario.RunE(scenario.Config{
+		direct, err := scenario.RunContext(context.Background(), scenario.Config{
 			Seed: int64(i), Protocol: scenario.SPR, NumSensors: 25, RunFor: 10 * sim.Second,
 		})
 		if err != nil {

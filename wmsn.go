@@ -31,12 +31,14 @@
 //	if err != nil { ... } // errors.Is(err, wmsn.ErrCanceled) on cancellation
 //	fmt.Println(res.Metrics.DeliveryRatio())
 //
-// RunContext, RunManyContext and RunEach are the primary run API: they
-// validate the configuration, honor context cancellation and deadlines
-// (a canceled run stops the kernel within one event batch), and — for
-// sweeps — deliver bit-identical results in submission order at any worker
-// count. Run, RunE and RunMany are the legacy forms kept for existing
-// callers. For running simulations as a network service, see cmd/wmsnd.
+// The run API has three entry points. RunContext runs one configuration;
+// RunEach runs a sweep on a worker pool and delivers bit-identical results
+// in submission order at any worker count; BuildE builds a network that
+// the caller drives by hand (Net.RunTraffic, or StartTraffic and
+// World.Run). All three validate the configuration and report a bad one as
+// an error; RunContext and RunEach also honor context cancellation and
+// deadlines (a canceled run stops the kernel within one event batch). For
+// running simulations as a network service, see cmd/wmsnd.
 //
 // See examples/ for richer scenarios and DESIGN.md for the system map.
 package wmsn
@@ -152,9 +154,9 @@ type FaultPlan = fault.Plan
 func NewFaultPlan() *FaultPlan { return fault.NewPlan() }
 
 // ErrCanceled marks a run stopped by context cancellation or deadline.
-// Errors from RunContext, RunManyContext and RunEach match it with
-// errors.Is; the context's own cause (context.Canceled,
-// context.DeadlineExceeded, or a custom cancel cause) stays in the chain.
+// Errors from RunContext and RunEach match it with errors.Is; the
+// context's own cause (context.Canceled, context.DeadlineExceeded, or a
+// custom cancel cause) stays in the chain.
 var ErrCanceled = scenario.ErrCanceled
 
 // RunContext builds the network described by cfg, drives its reporting
@@ -172,54 +174,31 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return scenario.RunContext(ctx, cfg)
 }
 
-// RunManyContext runs independent scenarios on a bounded worker pool and
-// returns their results in input order, canceling the remaining runs when
-// ctx fires. workers <= 0 uses one worker per CPU; workers == 1 runs
-// sequentially. Results are bit-identical regardless of worker count: every
-// run owns its kernel and RNG, and results are merged by submission index.
-func RunManyContext(ctx context.Context, workers int, cfgs []Config) ([]Result, error) {
-	return scenario.RunManyContext(ctx, workers, cfgs)
-}
-
-// RunEach is the streaming form of RunManyContext: fn receives each result
-// as soon as it and all earlier runs finish — exactly once per index, in
-// ascending submission order, on the calling goroutine — so a sweep's early
-// results are consumable while later runs still execute. The delivered
-// results are byte-identical to what RunManyContext returns. The first
-// error seen (validation or cancellation) is also the return value.
+// RunEach runs independent scenarios on a bounded worker pool, canceling
+// the remaining runs when ctx fires. workers <= 0 uses one worker per CPU;
+// workers == 1 runs sequentially. fn receives each result as soon as it and
+// all earlier runs finish — exactly once per index, in ascending submission
+// order, on the calling goroutine — so a sweep's early results are
+// consumable while later runs still execute. The delivered results are
+// byte-identical to calling RunContext on each config in turn, at any
+// worker count. The first (lowest-index) error, validation or cancellation,
+// is also the return value.
 func RunEach(ctx context.Context, workers int, cfgs []Config, fn func(i int, r Result, err error)) error {
 	return scenario.RunEach(ctx, workers, cfgs, fn)
 }
 
-// Run is the legacy panicking form of RunContext: no cancellation, and an
-// invalid configuration panics. Kept for existing callers and quick
-// experiments; new code should prefer RunContext.
-func Run(cfg Config) Result { return scenario.Run(cfg) }
-
-// RunE is the legacy non-cancellable form of RunContext, equivalent to
-// RunContext(context.Background(), cfg).
-func RunE(cfg Config) (Result, error) { return scenario.RunE(cfg) }
-
-// RunMany is the legacy form of RunManyContext: no cancellation, and any
-// validation error panics. New code should prefer RunManyContext or RunEach.
-func RunMany(workers int, cfgs []Config) []Result { return scenario.RunMany(workers, cfgs) }
-
-// Build constructs the network for cfg without starting traffic, for callers
-// that want to inject attackers or custom workloads first. It panics on an
-// invalid configuration; use BuildE for the error-returning form. Like Run,
-// it is a legacy entry point: a hand-driven Net bypasses the cancellation
-// machinery of RunContext, so prefer expressing the scenario declaratively
-// when the hooks below suffice.
+// BuildE constructs the network for cfg without starting traffic, for
+// callers that want to inject attackers or custom workloads first, and
+// reports an invalid configuration as an error. A hand-driven Net bypasses
+// the cancellation machinery of RunContext, so prefer expressing the
+// scenario declaratively when the hooks below suffice.
 //
 // Scheduled failures are better expressed declaratively via Config.Faults,
-// which keeps runs reproducible under RunMany and yields a Reliability
+// which keeps runs reproducible under RunEach and yields a Reliability
 // summary. The imperative hooks remain for what a schedule cannot express:
 // Config.Mutate for installing adversary stacks, trace taps and replayers
 // once the network exists, and Config.StackWrapper for compromising a
 // subset of otherwise-legitimate nodes in place (insider attacks).
-func Build(cfg Config) *Net { return scenario.Build(cfg) }
-
-// BuildE is Build with error reporting instead of panics.
 func BuildE(cfg Config) (*Net, error) { return scenario.BuildE(cfg) }
 
 // GatewayID returns the node ID of the i-th gateway in a scenario.

@@ -1,6 +1,7 @@
 package wmsn_test
 
 import (
+	"context"
 	"testing"
 
 	"wmsn"
@@ -10,8 +11,28 @@ import (
 // The facade tests exercise the public API exactly as the README shows it,
 // so the documented entry points cannot rot.
 
+// mustRun runs cfg to completion and fails the test on error.
+func mustRun(tb testing.TB, cfg wmsn.Config) wmsn.Result {
+	tb.Helper()
+	res, err := wmsn.RunContext(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// mustBuild builds cfg and fails the test on error.
+func mustBuild(tb testing.TB, cfg wmsn.Config) *wmsn.Net {
+	tb.Helper()
+	net, err := wmsn.BuildE(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
 func TestQuickstartFlow(t *testing.T) {
-	res := wmsn.Run(wmsn.Config{
+	res := mustRun(t, wmsn.Config{
 		Seed: 1, Protocol: wmsn.SPR,
 		NumSensors: 50, Side: 150, SensorRange: 35, NumGateways: 3,
 		RunFor: 60 * wmsn.Second,
@@ -25,7 +46,7 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestBuildAndMutateFlow(t *testing.T) {
-	net := wmsn.Build(wmsn.Config{
+	net := mustBuild(t, wmsn.Config{
 		Seed: 2, Protocol: wmsn.MLR,
 		NumSensors: 40, Side: 140, SensorRange: 35, NumGateways: 2,
 		RoundLen: 20 * wmsn.Second, RunFor: 60 * wmsn.Second,
