@@ -170,7 +170,7 @@ func ExampleProvisionKeys() {
 		[]wmsn.NodeID{1000, 1001}, // gateways
 		16,                        // µTESLA intervals (MLR rounds)
 	)
-	agree := sensorKeys[2].Gateway[1001] == gatewayKeys[1001].Sensor[2]
+	agree := sensorKeys[2].Gateway[1001].Key == gatewayKeys[1001].Sensor[2].Key
 	fmt.Println("pairwise keys agree:", agree)
 	// Output: pairwise keys agree: true
 }

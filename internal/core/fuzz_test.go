@@ -153,10 +153,10 @@ func fuzzAddr(from, to, origin, target int) uint16 {
 
 // fuzzSeal lays out a SecMLR envelope sealed under key the way fuzzFrame
 // reads it back.
-func fuzzSeal(key wsncrypto.Key, ctr uint64, body []byte) []byte {
-	cipher := wsncrypto.Encrypt(key, ctr, body)
+func fuzzSeal(key *wsncrypto.PairKey, ctr uint64, body []byte) []byte {
+	cipher := wsncrypto.Encrypt(key.Block, ctr, body)
 	out := binary.BigEndian.AppendUint64(nil, ctr)
-	out = append(out, wsncrypto.Sum(key, ctr, cipher)...)
+	out = append(out, wsncrypto.Sum(key.Key, ctr, cipher)...)
 	return append(out, cipher...)
 }
 
@@ -178,9 +178,9 @@ func FuzzStackInput(f *testing.F) {
 	// plain gateways' answers; one carrying sensor 3's authentication block
 	// passes the SecMLR gateway's MAC and counter checks.
 	f.Add(rreq, uint8(8), uint8(0), fuzzAddr(stranger, bcast, stranger, bcast), uint32(50), []byte{stranger}, []byte{}, []byte{}, false)
-	block := wsncrypto.Encrypt(key, 90, []byte{reqMarker})
+	block := wsncrypto.Encrypt(key.Block, 90, []byte{reqMarker})
 	f.Add(rreq, uint8(8), uint8(1), fuzzAddr(s3, bcast, s3, bcast), uint32(51), []byte{s3},
-		marshalRReqBlocks([]rreqBlock{{Gateway: 1002, Counter: 90, Cipher: block[0], MAC: wsncrypto.Sum(key, 90, block)}}), []byte{}, false)
+		marshalRReqBlocks([]rreqBlock{{Gateway: 1002, Counter: 90, Cipher: block[0], MAC: wsncrypto.Sum(key.Key, 90, block)}}), []byte{}, false)
 	// Data along each protocol's path: SPR's path-carrying first packet,
 	// MLR's place-keyed frame and SecMLR's sealed one, each addressed to its
 	// gateway so delivery (and SecMLR's ACK) runs too.

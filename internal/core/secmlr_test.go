@@ -404,16 +404,20 @@ func TestProvisionKeys(t *testing.T) {
 	if len(sk) != 3 || len(gk) != 2 {
 		t.Fatalf("provisioned %d/%d", len(sk), len(gk))
 	}
-	// Pairwise agreement: sensor's key for gateway == gateway's key for sensor.
+	// Pairwise agreement: sensor's key for gateway == gateway's key for
+	// sensor, and both ends share the pair's one AES key schedule.
 	for _, s := range sIDs {
 		for _, g := range gIDs {
 			if sk[s].Gateway[g] != gk[g].Sensor[s] {
+				t.Fatalf("(%v,%v): the two ends hold different key pairs", s, g)
+			}
+			if k := sk[s].Gateway[g].Key; k != wsncrypto.DeriveKey([]byte("m"), s, g) {
 				t.Fatalf("key mismatch for (%v,%v)", s, g)
 			}
 		}
 	}
 	// Distinct pairs get distinct keys.
-	if sk[1].Gateway[100] == sk[2].Gateway[100] || sk[1].Gateway[100] == sk[1].Gateway[200] {
+	if sk[1].Gateway[100].Key == sk[2].Gateway[100].Key || sk[1].Gateway[100].Key == sk[1].Gateway[200].Key {
 		t.Fatal("key reuse across pairs")
 	}
 	// Commitments match each gateway's chain.

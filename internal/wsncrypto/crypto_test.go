@@ -32,7 +32,7 @@ func TestDeriveKeyDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	k := DeriveKey(master, 1, 100)
+	k := NewPairKey(DeriveKey(master, 1, 100)).Block
 	msgs := [][]byte{nil, {}, []byte("x"), []byte("routing query to G1"), bytes.Repeat([]byte{0xAA}, 1000)}
 	for _, m := range msgs {
 		ct := Encrypt(k, 7, m)
@@ -46,12 +46,12 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 func TestEncryptDependsOnCounterAndKey(t *testing.T) {
-	k := DeriveKey(master, 1, 100)
+	k := NewPairKey(DeriveKey(master, 1, 100)).Block
 	m := []byte("same plaintext")
 	if bytes.Equal(Encrypt(k, 1, m), Encrypt(k, 2, m)) {
 		t.Fatal("different counters produced identical ciphertext")
 	}
-	k2 := DeriveKey(master, 2, 100)
+	k2 := NewPairKey(DeriveKey(master, 2, 100)).Block
 	if bytes.Equal(Encrypt(k, 1, m), Encrypt(k2, 1, m)) {
 		t.Fatal("different keys produced identical ciphertext")
 	}
@@ -156,11 +156,11 @@ func TestTeslaChainBasics(t *testing.T) {
 	}
 	// Chain property: H(K[i+1]) == K[i].
 	for i := 1; i < 10; i++ {
-		if !bytes.Equal(hashKey(c.KeyAt(i+1)), c.KeyAt(i)) {
+		if hashKey(Key(c.KeyAt(i+1))) != Key(c.KeyAt(i)) {
 			t.Fatalf("chain broken at %d", i)
 		}
 	}
-	if !bytes.Equal(hashKey(c.KeyAt(1)), c.Commitment()) {
+	if hashKey(Key(c.KeyAt(1))) != Key(c.Commitment()) {
 		t.Fatal("K[1] does not hash to commitment")
 	}
 }
@@ -231,6 +231,10 @@ func TestTeslaRejectsForgedAndStaleKeys(t *testing.T) {
 	if v.AcceptKey(6, other.KeyAt(6)) {
 		t.Fatal("cross-chain key accepted")
 	}
+	// A key of any length but KeySize is refused, not padded or cut.
+	if v.AcceptKey(6, append(chain.KeyAt(6), 0)) || v.AcceptKey(6, chain.KeyAt(6)[:KeySize-1]) || v.AcceptKey(6, nil) {
+		t.Fatal("key of the wrong length accepted")
+	}
 	// And the real next key still works afterwards.
 	if !v.AcceptKey(6, chain.KeyAt(6)) {
 		t.Fatal("genuine key rejected after failed forgeries")
@@ -251,7 +255,7 @@ func TestTeslaVerifyMessageWrongInterval(t *testing.T) {
 // Property: encrypt/decrypt round-trips for arbitrary keys, counters, data.
 func TestQuickEncryptRoundTrip(t *testing.T) {
 	f := func(node, gw uint32, counter uint64, data []byte) bool {
-		k := DeriveKey(master, packet.NodeID(node), packet.NodeID(gw))
+		k := NewPairKey(DeriveKey(master, packet.NodeID(node), packet.NodeID(gw))).Block
 		return bytes.Equal(Decrypt(k, counter, Encrypt(k, counter, data)), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -283,7 +287,7 @@ func TestQuickMACSoundness(t *testing.T) {
 }
 
 func BenchmarkEncrypt64B(b *testing.B) {
-	k := DeriveKey(master, 1, 100)
+	k := NewPairKey(DeriveKey(master, 1, 100)).Block
 	data := make([]byte, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
