@@ -205,8 +205,7 @@ func (g *SecMLRGateway) handleRReq(pkt *packet.Packet) {
 	}
 	// Verify (1) origin authenticity via the MAC (an unknown, e.g. Sybil,
 	// or revoked identity fails too) ...
-	key, known := g.Keys.Lookup(pkt.Origin)
-	if !g.verify(g.Metrics, key, known, &packet.SecEnvelope{Counter: mine.Counter, Cipher: []byte{mine.Cipher}, MAC: mine.MAC}) {
+	if !g.verify(g.Metrics, g.Keys.Lookup(pkt.Origin), &packet.SecEnvelope{Counter: mine.Counter, Cipher: []byte{mine.Cipher}, MAC: mine.MAC}) {
 		return
 	}
 	path := pkt.AppendHop(g.dev.ID())
@@ -258,8 +257,7 @@ func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
 	if _, _, ok := parsePlacePayload(pkt.Payload); !ok {
 		return
 	}
-	key, known := g.Keys.Lookup(pkt.Origin)
-	body, ok := g.open(g.Metrics, pkt.Origin, key, known, pkt.Sec)
+	body, ok := g.open(g.Metrics, pkt.Origin, g.Keys.Lookup(pkt.Origin), pkt.Sec)
 	if !ok {
 		return
 	}
@@ -558,8 +556,7 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 		return
 	}
 	// Response addressed to us: authenticate before believing anything.
-	key, known := s.Keys.Gateway[gw]
-	body, ok := s.open(s.Metrics, gw, key, known, pkt.Sec)
+	body, ok := s.open(s.Metrics, gw, s.Keys.Gateway[gw], pkt.Sec)
 	if !ok {
 		return
 	}
@@ -579,8 +576,7 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 	if pkt.Target == s.dev.ID() {
 		// A gateway-originated packet: authenticate, then deliver.
-		key, known := s.Keys.Gateway[pkt.Origin]
-		if body, ok := s.open(s.Metrics, pkt.Origin, key, known, pkt.Sec); ok && s.OnDownstream != nil {
+		if body, ok := s.open(s.Metrics, pkt.Origin, s.Keys.Gateway[pkt.Origin], pkt.Sec); ok && s.OnDownstream != nil {
 			s.OnDownstream(pkt.Origin, body)
 		}
 		return
@@ -615,8 +611,7 @@ func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
 		}
 		return
 	}
-	key, known := s.Keys.Gateway[pkt.Origin]
-	body, ok := s.open(s.Metrics, pkt.Origin, key, known, pkt.Sec)
+	body, ok := s.open(s.Metrics, pkt.Origin, s.Keys.Gateway[pkt.Origin], pkt.Sec)
 	if !ok || len(body) < 4 {
 		return
 	}
