@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,45 +49,56 @@ type export struct {
 	Experiments map[string]experimentExport `json:"experiments"`
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "run the reduced-scale variant of each experiment")
-	seeds := flag.Int("seeds", 0, "override the number of seeds per data point (0 = per-experiment default)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E1,E9); empty runs all")
-	list := flag.Bool("list", false, "list experiments and exit")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text tables")
-	workers := flag.Int("workers", 0, "parallel runs per experiment (0 = one per CPU, 1 = sequential); output is identical either way")
-	metricsJSON := flag.String("metrics-json", "", "write structured tables and per-experiment aggregated metrics to this file")
-	traceDir := flag.String("trace-dir", "", "spool one JSONL event trace per harness run into this directory (see cmd/wmsntrace)")
-	traceSample := flag.Float64("trace-sample", 1.0, "gauge sampling interval in seconds for traced runs (0 disables gauge samples)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the suite to this file")
-	scale := flag.Bool("scale", false, "run a one-off E1-style scale sweep (-n sensors, -workers hop-sweep workers) and exit")
-	scaleN := flag.Int("n", 10000, "field size for -scale (number of sensors)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command with its exit status, so every exit, an error one
+// included, passes through its deferred calls and a CPU profile is always
+// written out.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("wmsnbench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "run the reduced-scale variant of each experiment")
+	seeds := fs.Int("seeds", 0, "override the number of seeds per data point (0 = per-experiment default)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. E1,E9); empty runs all")
+	list := fs.Bool("list", false, "list experiments and exit")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of aligned text tables")
+	workers := fs.Int("workers", 0, "parallel runs per experiment (0 = one per CPU, 1 = sequential); output is identical either way")
+	metricsJSON := fs.String("metrics-json", "", "write structured tables and per-experiment aggregated metrics to this file")
+	traceDir := fs.String("trace-dir", "", "spool one JSONL event trace per harness run into this directory (see cmd/wmsntrace)")
+	traceSample := fs.Float64("trace-sample", 1.0, "gauge sampling interval in seconds for traced runs (0 disables gauge samples)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the suite to this file")
+	scale := fs.Bool("scale", false, "run a one-off E1-style scale sweep (-n sensors, -workers hop-sweep workers) and exit")
+	scaleN := fs.Int("n", 10000, "field size for -scale (number of sensors)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	stopCPUProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopCPUProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			code = 1
+		}
+	}()
 
 	if *scale {
-		if err := startCPUProfile(*cpuProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
 		sopts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: *workers}
 		fmt.Println(experiments.ScaleSweep(sopts, *scaleN, []int{1, 4, 16}, 901).String())
 		fmt.Println(experiments.ScaleTraffic(sopts, *scaleN, 901).String())
-		pprof.StopCPUProfile()
-		return
+		return 0
 	}
 
-	if err := startCPUProfile(*cpuProfile); err != nil {
-		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-		os.Exit(1)
-	}
-	if *cpuProfile != "" {
-		defer pprof.StopCPUProfile()
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "trace-dir: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -95,7 +107,7 @@ func main() {
 		for _, e := range suite {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -139,7 +151,7 @@ func main() {
 			if *csvOut {
 				if err := tbl.RenderCSV(os.Stdout); err != nil {
 					fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Println()
 			} else {
@@ -150,7 +162,7 @@ func main() {
 		if t := opts.Trace; t != nil {
 			if err := t.Err(); err != nil {
 				fmt.Fprintf(os.Stderr, "trace-dir: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "%s: %d trace file(s) in %s\n", e.ID, t.Files(), *traceDir)
 		}
@@ -164,28 +176,52 @@ func main() {
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiments matched %q\n", *only)
-		os.Exit(1)
+		return 1
 	}
 	if *metricsJSON != "" {
 		buf, err := json.MarshalIndent(exp, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics-json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := os.WriteFile(*metricsJSON, append(buf, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics-json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
-	writeMemProfile(*memProfile)
-	if failed {
-		pprof.StopCPUProfile()
-		os.Exit(1)
+	if err := writeMemProfile(*memProfile); err != nil {
+		fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+		return 1
 	}
+	if failed {
+		return 1
+	}
+	return 0
 }
 
-// startCPUProfile begins a CPU profile into path; an empty path is a no-op.
-func startCPUProfile(path string) error {
+// startCPUProfile begins a CPU profile into path and returns the function
+// that ends it and closes the file; an empty path profiles nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeMemProfile writes a heap profile to path after a collection; an
+// empty path writes nothing.
+func writeMemProfile(path string) error {
 	if path == "" {
 		return nil
 	}
@@ -193,21 +229,10 @@ func startCPUProfile(path string) error {
 	if err != nil {
 		return err
 	}
-	return pprof.StartCPUProfile(f)
-}
-
-func writeMemProfile(path string) {
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
 		f.Close()
+		return err
 	}
+	return f.Close()
 }
