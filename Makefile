@@ -74,7 +74,9 @@ soak:
 
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
 # and SecMLR stacks, the incremental spatial grid, which fills every radio
-# receiver list, and wmsnd's request decoder and validator. A worker
+# receiver list, wmsnd's request decoder and validator, and the SecMLR
+# crypto primitives against the standard library's (FuzzCryptoMatchesStdlib:
+# HMAC against crypto/hmac, AES-CTR against crypto/cipher). A worker
 # reports no execs while it minimizes a new input, for up to 60 s by
 # default, so minimizing is capped at 1 s to leave the 30 s for fuzzing.
 fuzz:
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/
+	$(GO) test -fuzz=FuzzCryptoMatchesStdlib -fuzztime=30s -fuzzminimizetime=1s ./internal/wsncrypto/
 
 # Simulation-as-a-service daemon: build the binary, then the endpoint,
 # cancellation and 64-client load tests under the race detector.
