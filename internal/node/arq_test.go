@@ -78,9 +78,9 @@ func TestARQRetryBudgetAndFailureVerdict(t *testing.T) {
 		t.Fatal("Send failed")
 	}
 	w.RunUntilIdle()
-	if da.SentPackets() != uint64(cfg.Retries)+1 {
+	if tx := w.SensorMedium().Stats().Transmissions; tx != uint64(cfg.Retries)+1 {
 		t.Fatalf("sender transmitted %d times, want exactly retries+1 = %d",
-			da.SentPackets(), cfg.Retries+1)
+			tx, cfg.Retries+1)
 	}
 	if m.LinkRetries != uint64(cfg.Retries) || m.LinkFailures != 1 {
 		t.Fatalf("retries=%d failures=%d, want %d/1", m.LinkRetries, m.LinkFailures, cfg.Retries)
@@ -232,9 +232,11 @@ func TestARQPropertyRandomLoss(t *testing.T) {
 				}
 			}
 			w.RunUntilIdle()
-			if da.SentPackets() > queued*uint64(retries+1) {
+			// The receiver's LINK-ACKs share the medium, so the sender's
+			// transmissions are its first attempts plus its retries.
+			if tx := m.LinkTxQueued + m.LinkRetries; tx > queued*uint64(retries+1) {
 				t.Fatalf("sender transmitted %d frames for %d queued with budget %d each",
-					da.SentPackets(), queued, retries+1)
+					tx, queued, retries+1)
 			}
 			if m.LinkTxQueued != queued {
 				t.Fatalf("LinkTxQueued=%d, want %d", m.LinkTxQueued, queued)

@@ -80,22 +80,22 @@ type Stack interface {
 	HandleMessage(pkt *packet.Packet)
 }
 
-// Device is one node in the world. It is a thin view: the hot per-device
-// state (alive flag, position, battery charge, promiscuous bit and the
-// overhead counters) lives in the owning World's struct-of-arrays core,
-// indexed by the device's dense handle. The view holds only identity,
-// attachments and protocol machinery, so iterating devices during a run
-// touches contiguous arrays instead of chasing pointers.
+// Device is one node in the world: identity, radio attachments, battery,
+// liveness and protocol machinery. Its position is the position of the
+// stations it is attached to.
 type Device struct {
 	id    packet.NodeID
 	kind  Kind
-	h     int32 // dense handle into the World's SoA arrays
 	world *World
 
 	sensorSt *radio.Station // nil for MeshRouter/BaseStation
 	meshSt   *radio.Station // nil for Sensor
 
-	model energy.Model
+	alive   bool
+	promisc bool
+	battery energy.Battery
+	model   energy.Model
+	snap    attachSnapshot // attachment state saved at the last kill
 
 	stack       Stack
 	meshHandler func(*packet.Packet)
@@ -105,43 +105,13 @@ type Device struct {
 // attachSnapshot captures the radio attachment state of a device at the
 // moment it dies, so Recover can re-attach the stations exactly as they
 // were: position, per-medium ranges, the sensor listening flag and which
-// media the device was on. One snapshot row per device lives in the World's
-// SoA core and is overwritten on every kill.
+// media the device was on. Every kill overwrites it.
 type attachSnapshot struct {
 	pos                geom.Point
 	sensorRange        float64
 	meshRange          float64
 	sensorListening    bool
 	hadSensor, hadMesh bool
-}
-
-// soa is the struct-of-arrays hot core: one row per device, indexed by
-// Device.h in insertion order. Rows are never removed — handles stay dense
-// and stable for the life of the World — but the backing slices may be
-// reallocated by device additions, so pointers into them (Device.Battery)
-// must not be held across Add* calls. See DESIGN.md, "SoA world core".
-type soa struct {
-	alive     []bool
-	promisc   []bool
-	pos       []geom.Point
-	batteries []energy.Battery
-	sent      []uint64
-	sentBytes []uint64
-	recv      []uint64
-	snaps     []attachSnapshot
-}
-
-func (s *soa) grow(pos geom.Point, bat energy.Battery) int32 {
-	h := int32(len(s.alive))
-	s.alive = append(s.alive, true)
-	s.promisc = append(s.promisc, false)
-	s.pos = append(s.pos, pos)
-	s.batteries = append(s.batteries, bat)
-	s.sent = append(s.sent, 0)
-	s.sentBytes = append(s.sentBytes, 0)
-	s.recv = append(s.recv, 0)
-	s.snaps = append(s.snaps, attachSnapshot{})
-	return h
 }
 
 // ID returns the device's node ID.
@@ -153,18 +123,20 @@ func (d *Device) Kind() Kind { return d.kind }
 // World returns the owning world.
 func (d *Device) World() *World { return d.world }
 
-// Pos returns the device's position (the zero point for a dead, detached
-// device, matching the historical station-derived behavior).
+// Pos returns the position of the device's stations (the zero point for a
+// dead, detached device).
 func (d *Device) Pos() geom.Point {
-	if d.sensorSt == nil && d.meshSt == nil {
-		return geom.Point{}
+	switch {
+	case d.sensorSt != nil:
+		return d.sensorSt.Pos()
+	case d.meshSt != nil:
+		return d.meshSt.Pos()
 	}
-	return d.world.soa.pos[d.h]
+	return geom.Point{}
 }
 
 // Move relocates the device on every medium it is attached to.
 func (d *Device) Move(p geom.Point) {
-	d.world.soa.pos[d.h] = p
 	if d.sensorSt != nil {
 		d.sensorSt.Move(p)
 	}
@@ -173,23 +145,11 @@ func (d *Device) Move(p geom.Point) {
 	}
 }
 
-// Battery returns the device's battery. The pointer aims into the World's
-// SoA core: use it and drop it — it is invalidated by the next device
-// addition (slice growth), though never by deaths or recoveries.
-func (d *Device) Battery() *energy.Battery { return &d.world.soa.batteries[d.h] }
+// Battery returns the device's battery.
+func (d *Device) Battery() *energy.Battery { return &d.battery }
 
 // Alive reports whether the device is operating.
-func (d *Device) Alive() bool { return d.world.soa.alive[d.h] }
-
-// SentPackets returns the count of frames this device put on the air.
-func (d *Device) SentPackets() uint64 { return d.world.soa.sent[d.h] }
-
-// SentBytes returns the total payload bytes this device put on the air.
-func (d *Device) SentBytes() uint64 { return d.world.soa.sentBytes[d.h] }
-
-// RecvPackets returns the count of frames this device consumed (addressed
-// to it, broadcast, or overheard promiscuously).
-func (d *Device) RecvPackets() uint64 { return d.world.soa.recv[d.h] }
+func (d *Device) Alive() bool { return d.alive }
 
 // Stack returns the sensor-layer protocol stack.
 func (d *Device) Stack() Stack { return d.stack }
@@ -216,12 +176,12 @@ func (d *Device) MeshStation() *radio.Station { return d.meshSt }
 func (d *Device) SetMeshHandler(f func(*packet.Packet)) { d.meshHandler = f }
 
 // Promiscuous reports whether the device consumes overheard unicasts.
-func (d *Device) Promiscuous() bool { return d.world.soa.promisc[d.h] }
+func (d *Device) Promiscuous() bool { return d.promisc }
 
 // SetPromiscuous marks the device as an eavesdropper: unicast packets
 // addressed to other nodes are handed to its stack instead of being
 // dropped after the energy charge.
-func (d *Device) SetPromiscuous(on bool) { d.world.soa.promisc[d.h] = on }
+func (d *Device) SetPromiscuous(on bool) { d.promisc = on }
 
 // Now returns the current virtual time.
 func (d *Device) Now() sim.Time { return d.world.kernel.Now() }
@@ -252,7 +212,7 @@ func (d *Device) Every(interval sim.Duration, fn func()) *sim.Repeater {
 // frame in flight), false means the queue is full and the frame was dropped
 // under backpressure.
 func (d *Device) Send(pkt *packet.Packet) bool {
-	if !d.world.soa.alive[d.h] || d.sensorSt == nil {
+	if !d.alive || d.sensorSt == nil {
 		return false
 	}
 	if d.arq != nil && arqEligible(pkt) {
@@ -261,29 +221,14 @@ func (d *Device) Send(pkt *packet.Packet) bool {
 	return d.transmitSensor(pkt)
 }
 
-// transmitSensor is the raw sensor-layer transmission path: charge energy,
-// account, and put the frame on the air. ARQ retransmissions and LINK-ACKs
-// come through here directly, bypassing the queue.
+// transmitSensor is the raw sensor-layer transmission path, at the
+// station's own range. ARQ retransmissions and LINK-ACKs come through here
+// directly, bypassing the queue.
 func (d *Device) transmitSensor(pkt *packet.Packet) bool {
-	w := d.world
-	if !w.soa.alive[d.h] || d.sensorSt == nil {
+	if d.sensorSt == nil {
 		return false
 	}
-	cost := d.model.TxCost(pkt.SizeBits(), d.sensorSt.Range())
-	if !w.soa.batteries[d.h].DrawTx(cost) {
-		w.kill(d, CauseBattery)
-		return false
-	}
-	w.soa.sent[d.h]++
-	w.soa.sentBytes[d.h] += uint64(pkt.Size())
-	if w.obs.Active() && arqEligible(pkt) {
-		w.obs.Emit(obs.Event{
-			At: d.Now(), Kind: obs.LinkTx, Node: d.id, Peer: pkt.To,
-			Origin: pkt.Origin, Seq: pkt.Seq, Value: int64(pkt.TTL),
-		})
-	}
-	w.sensorMedium.Transmit(d.sensorSt, pkt)
-	return true
+	return d.SendRange(pkt, d.sensorSt.Range())
 }
 
 // SendRange transmits pkt on the sensor layer at a boosted (or reduced)
@@ -293,16 +238,14 @@ func (d *Device) transmitSensor(pkt *packet.Packet) bool {
 // long-distance hops to cluster heads and sinks.
 func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 	w := d.world
-	if !w.soa.alive[d.h] || d.sensorSt == nil {
+	if !d.alive || d.sensorSt == nil {
 		return false
 	}
 	cost := d.model.TxCost(pkt.SizeBits(), rangeM)
-	if !w.soa.batteries[d.h].DrawTx(cost) {
+	if !d.battery.DrawTx(cost) {
 		w.kill(d, CauseBattery)
 		return false
 	}
-	w.soa.sent[d.h]++
-	w.soa.sentBytes[d.h] += uint64(pkt.Size())
 	if w.obs.Active() && arqEligible(pkt) {
 		w.obs.Emit(obs.Event{
 			At: d.Now(), Kind: obs.LinkTx, Node: d.id, Peer: pkt.To,
@@ -317,16 +260,14 @@ func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 // generator-powered in the architecture, but energy is still accounted.
 func (d *Device) SendMesh(pkt *packet.Packet) bool {
 	w := d.world
-	if !w.soa.alive[d.h] || d.meshSt == nil {
+	if !d.alive || d.meshSt == nil {
 		return false
 	}
 	cost := d.model.TxCost(pkt.SizeBits(), d.meshSt.Range())
-	if !w.soa.batteries[d.h].DrawTx(cost) {
+	if !d.battery.DrawTx(cost) {
 		w.kill(d, CauseBattery)
 		return false
 	}
-	w.soa.sent[d.h]++
-	w.soa.sentBytes[d.h] += uint64(pkt.Size())
 	w.meshMedium.Transmit(d.meshSt, pkt)
 	return true
 }
@@ -336,20 +277,19 @@ func (d *Device) SendMesh(pkt *packet.Packet) bool {
 // packet to the stack.
 func (d *Device) receive(pkt *packet.Packet) {
 	w := d.world
-	if !w.soa.alive[d.h] {
+	if !d.alive {
 		return
 	}
-	if !w.soa.batteries[d.h].DrawRx(d.model.RxCost(pkt.SizeBits())) {
+	if !d.battery.DrawRx(d.model.RxCost(pkt.SizeBits())) {
 		w.kill(d, CauseBattery)
 		return
 	}
-	if pkt.To != packet.Broadcast && pkt.To != d.id && !w.soa.promisc[d.h] {
+	if pkt.To != packet.Broadcast && pkt.To != d.id && !d.promisc {
 		return // overheard someone else's unicast; energy spent, nothing more
 	}
 	if d.arq != nil {
 		if pkt.Kind == packet.KindLinkAck {
 			// LINK-ACKs terminate at the link layer, never at a stack.
-			w.soa.recv[d.h]++
 			if pkt.To == d.id {
 				d.arqHandleAck(pkt)
 			}
@@ -359,7 +299,6 @@ func (d *Device) receive(pkt *packet.Packet) {
 			return // duplicate (re-ACKed) or the ACK drained the battery
 		}
 	}
-	w.soa.recv[d.h]++
 	if d.stack != nil {
 		d.stack.HandleMessage(pkt)
 	}
@@ -368,17 +307,16 @@ func (d *Device) receive(pkt *packet.Packet) {
 // receiveMesh handles a mesh-layer delivery.
 func (d *Device) receiveMesh(pkt *packet.Packet) {
 	w := d.world
-	if !w.soa.alive[d.h] {
+	if !d.alive {
 		return
 	}
-	if !w.soa.batteries[d.h].DrawRx(d.model.RxCost(pkt.SizeBits())) {
+	if !d.battery.DrawRx(d.model.RxCost(pkt.SizeBits())) {
 		w.kill(d, CauseBattery)
 		return
 	}
-	if pkt.To != packet.Broadcast && pkt.To != d.id && !w.soa.promisc[d.h] {
+	if pkt.To != packet.Broadcast && pkt.To != d.id && !d.promisc {
 		return
 	}
-	w.soa.recv[d.h]++
 	if d.meshHandler != nil {
 		d.meshHandler(pkt)
 	}
@@ -402,10 +340,10 @@ func (d *Device) FailCause(c DeathCause) { d.world.kill(d, c) }
 // actually revived the device (false when it is already alive).
 func (d *Device) Recover() bool {
 	w := d.world
-	if w.soa.alive[d.h] {
+	if d.alive {
 		return false
 	}
-	snap := w.soa.snaps[d.h]
+	snap := d.snap
 	if snap.hadSensor {
 		d.sensorSt = w.sensorMedium.Attach(d.id, snap.pos, snap.sensorRange, d.receive)
 		d.sensorSt.SetListening(snap.sensorListening)
@@ -413,8 +351,7 @@ func (d *Device) Recover() bool {
 	if snap.hadMesh {
 		d.meshSt = w.meshMedium.Attach(d.id, snap.pos, snap.meshRange, d.receiveMesh)
 	}
-	w.soa.pos[d.h] = snap.pos
-	w.soa.alive[d.h] = true
+	d.alive = true
 	if d.kind == Sensor {
 		w.sensorsAlive++
 	}
@@ -440,16 +377,6 @@ type Config struct {
 	// site is guarded by obs.Bus.Active, so untraced runs pay one branch
 	// per site and allocate nothing.
 	Obs *obs.Bus
-	// EventPool / SensorPool / MeshPool, when non-nil, seed the world's
-	// kernel and radio media with recycled storage from an earlier run and
-	// receive it back via ReleasePools — the arena that lets sweeps reuse
-	// event and delivery structs across runs instead of reallocating them.
-	// Each pool must be owned exclusively by one world at a time.
-	// scenario.RunContext wires these automatically; nil (the default)
-	// allocates fresh storage.
-	EventPool  *sim.EventPool
-	SensorPool *radio.Pool
-	MeshPool   *radio.Pool
 }
 
 // DeathRecord describes a device death.
@@ -468,7 +395,6 @@ type World struct {
 
 	devices map[packet.NodeID]*Device
 	order   []packet.NodeID // insertion order, for deterministic iteration
-	soa     soa             // dense per-device hot state, indexed by Device.h
 
 	deaths       []DeathRecord
 	firstDeath   sim.Time
@@ -495,7 +421,7 @@ func NewWorld(cfg Config) *World {
 	cfg.SensorRadio.Obs = cfg.Obs
 	cfg.MeshRadio.Obs = cfg.Obs
 	k := sim.NewKernel(cfg.Seed)
-	w := &World{
+	return &World{
 		kernel:       k,
 		sensorMedium: radio.New(k, cfg.SensorRadio),
 		meshMedium:   radio.New(k, cfg.MeshRadio),
@@ -503,38 +429,6 @@ func NewWorld(cfg Config) *World {
 		devices:      make(map[packet.NodeID]*Device),
 		firstDeath:   -1,
 		obs:          cfg.Obs,
-	}
-	if cfg.EventPool != nil {
-		k.AdoptEventPool(cfg.EventPool)
-	}
-	if cfg.SensorPool != nil {
-		w.sensorMedium.AdoptPool(cfg.SensorPool)
-	}
-	if cfg.MeshPool != nil {
-		w.meshMedium.AdoptPool(cfg.MeshPool)
-	}
-	return w
-}
-
-// ReleasePools harvests the world's recycled kernel and radio storage back
-// into the pools supplied at construction. Call only when the run is over
-// and its results have been extracted: outstanding timers are cancelled
-// (their handles become inert) and pending radio deliveries are dropped.
-// The world itself stays functional — it simply allocates fresh storage if
-// driven further. Calling ReleasePools again, or on a world built without
-// pools, is a no-op.
-func (w *World) ReleasePools() {
-	if w.cfg.EventPool != nil {
-		w.kernel.HarvestEventPool(w.cfg.EventPool)
-		w.cfg.EventPool = nil
-	}
-	if w.cfg.SensorPool != nil {
-		w.sensorMedium.HarvestPool(w.cfg.SensorPool)
-		w.cfg.SensorPool = nil
-	}
-	if w.cfg.MeshPool != nil {
-		w.meshMedium.HarvestPool(w.cfg.MeshPool)
-		w.cfg.MeshPool = nil
 	}
 }
 
@@ -577,20 +471,18 @@ func (w *World) DevicesOfKind(k Kind) []*Device {
 	return out
 }
 
-// newDevice allocates the SoA row and the thin view for a device about to
-// join the world. The duplicate check runs before the row is grown so a
-// panic leaves the arrays consistent.
-func (w *World) newDevice(id packet.NodeID, kind Kind, pos geom.Point, bat energy.Battery, stack Stack) *Device {
+// newDevice builds a live device about to join the world. The duplicate
+// check runs before any station is attached.
+func (w *World) newDevice(id packet.NodeID, kind Kind, bat energy.Battery, stack Stack) *Device {
 	if _, dup := w.devices[id]; dup {
 		panic(fmt.Sprintf("node: device %v added twice", id))
 	}
-	d := &Device{
+	return &Device{
 		id: id, kind: kind, world: w,
+		alive: true, battery: bat,
 		model: w.cfg.EnergyModel,
 		stack: stack,
 	}
-	d.h = w.soa.grow(pos, bat)
-	return d
 }
 
 func (w *World) register(d *Device) {
@@ -611,7 +503,7 @@ func (w *World) AddSensor(id packet.NodeID, pos geom.Point, rangeM float64, batt
 	if batteryJ == 0 {
 		batteryJ = w.cfg.SensorBattery
 	}
-	d := w.newDevice(id, Sensor, pos, *energy.NewBattery(batteryJ), stack)
+	d := w.newDevice(id, Sensor, *energy.NewBattery(batteryJ), stack)
 	d.sensorSt = w.sensorMedium.Attach(id, pos, rangeM, d.receive)
 	w.register(d)
 	return d
@@ -619,7 +511,7 @@ func (w *World) AddSensor(id packet.NodeID, pos geom.Point, rangeM float64, batt
 
 // AddGateway creates a WMG attached to both media with unrestricted energy.
 func (w *World) AddGateway(id packet.NodeID, pos geom.Point, sensorRange, meshRange float64, stack Stack) *Device {
-	d := w.newDevice(id, Gateway, pos, *energy.Infinite(), stack)
+	d := w.newDevice(id, Gateway, *energy.Infinite(), stack)
 	d.sensorSt = w.sensorMedium.Attach(id, pos, sensorRange, d.receive)
 	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
 	w.register(d)
@@ -628,7 +520,7 @@ func (w *World) AddGateway(id packet.NodeID, pos geom.Point, sensorRange, meshRa
 
 // AddMeshRouter creates a WMR attached to the mesh medium only.
 func (w *World) AddMeshRouter(id packet.NodeID, pos geom.Point, meshRange float64) *Device {
-	d := w.newDevice(id, MeshRouter, pos, *energy.Infinite(), nil)
+	d := w.newDevice(id, MeshRouter, *energy.Infinite(), nil)
 	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
 	w.register(d)
 	return d
@@ -636,7 +528,7 @@ func (w *World) AddMeshRouter(id packet.NodeID, pos geom.Point, meshRange float6
 
 // AddBaseStation creates a base station on the mesh medium.
 func (w *World) AddBaseStation(id packet.NodeID, pos geom.Point, meshRange float64) *Device {
-	d := w.newDevice(id, BaseStation, pos, *energy.Infinite(), nil)
+	d := w.newDevice(id, BaseStation, *energy.Infinite(), nil)
 	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
 	w.register(d)
 	return d
@@ -646,10 +538,10 @@ func (w *World) AddBaseStation(id packet.NodeID, pos geom.Point, meshRange float
 func (w *World) OnDeath(fn func(DeathRecord)) { w.onDeath = append(w.onDeath, fn) }
 
 func (w *World) kill(d *Device, cause DeathCause) {
-	if !w.soa.alive[d.h] {
+	if !d.alive {
 		return
 	}
-	w.soa.alive[d.h] = false
+	d.alive = false
 	d.arqFlush()
 	snap := attachSnapshot{pos: d.Pos()}
 	snap.hadSensor, snap.hadMesh = d.sensorSt != nil, d.meshSt != nil
@@ -664,7 +556,7 @@ func (w *World) kill(d *Device, cause DeathCause) {
 		w.meshMedium.Detach(d.id)
 		d.meshSt = nil
 	}
-	w.soa.snaps[d.h] = snap
+	d.snap = snap
 	rec := DeathRecord{ID: d.id, At: d.Now(), Cause: cause}
 	w.deaths = append(w.deaths, rec)
 	if w.obs.Active() {
@@ -703,7 +595,7 @@ func (w *World) SensorEnergyStats() energy.Stats {
 	var bats []*energy.Battery
 	for _, d := range w.Devices() {
 		if d.kind == Sensor {
-			bats = append(bats, &w.soa.batteries[d.h])
+			bats = append(bats, &d.battery)
 		}
 	}
 	return energy.Summarize(bats)
@@ -720,8 +612,8 @@ func (w *World) RunUntilIdle() uint64 { return w.kernel.RunAll() }
 func (w *World) MinSensorBatteryFraction() float64 {
 	min := 1.0
 	for _, d := range w.Devices() {
-		if d.kind == Sensor && w.soa.alive[d.h] {
-			min = math.Min(min, w.soa.batteries[d.h].FractionRemaining())
+		if d.kind == Sensor && d.alive {
+			min = math.Min(min, d.battery.FractionRemaining())
 		}
 	}
 	return min

@@ -52,8 +52,8 @@ func TestSensorSendReceive(t *testing.T) {
 	if len(a.got) != 0 {
 		t.Fatal("sender received own broadcast")
 	}
-	if da.SentPackets() != 1 || da.SentBytes() == 0 {
-		t.Fatalf("sender counters: %d pkts %d bytes", da.SentPackets(), da.SentBytes())
+	if st := w.SensorMedium().Stats(); st.Transmissions != 1 || st.BytesOnAir == 0 {
+		t.Fatalf("medium counters: %d frames %d bytes", st.Transmissions, st.BytesOnAir)
 	}
 }
 

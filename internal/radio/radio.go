@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"wmsn/internal/geom"
-	"wmsn/internal/metrics"
 	"wmsn/internal/obs"
 	"wmsn/internal/packet"
 	"wmsn/internal/sim"
@@ -47,11 +46,6 @@ type Config struct {
 	// BackoffWindow is the maximum random defer per attempt; 0 selects
 	// 4 ms.
 	BackoffWindow sim.Duration
-	// Metrics, when non-nil, receives every medium event (transmissions,
-	// deliveries, losses, collisions, CSMA activity) as Radio* counters in
-	// addition to the medium's own Stats. Leave nil to keep the hot path
-	// branch-free of telemetry.
-	Metrics metrics.Sink
 	// Obs, when active, receives a FrameLost event for every unicast DATA
 	// copy the medium drops at its addressee (loss model or collision) —
 	// the ground truth behind the link layer's retry decisions. Nil keeps
@@ -268,13 +262,6 @@ func (m *Medium) SetLossRate(p float64) {
 	m.cfg.LossRate = p
 }
 
-// report mirrors a stats increment to the optional metrics sink.
-func (m *Medium) report(c metrics.Counter, n uint64) {
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.Add(c, n)
-	}
-}
-
 // observeLoss traces a dropped copy of a unicast DATA frame at its
 // addressee. Broadcast copies and overheard unicasts are omitted: only the
 // addressee's loss is a hop-level event the link layer will react to.
@@ -458,11 +445,9 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, rangeM float64,
 	if m.carrierBusy(from) {
 		if attempt >= maxB {
 			m.stats.CSMADropped++
-			m.report(metrics.RadioDropped, 1)
 			return
 		}
 		m.stats.Backoffs++
-		m.report(metrics.RadioBackoffs, 1)
 		delay := 1 + sim.Duration(m.k.Rand().Int63n(int64(window)))
 		m.k.After(delay, func() { m.transmitCSMA(from, pkt, rangeM, attempt+1) })
 		return
@@ -473,8 +458,6 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, rangeM float64,
 func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) {
 	m.stats.Transmissions++
 	m.stats.BytesOnAir += uint64(pkt.Size())
-	m.report(metrics.RadioTransmissions, 1)
-	m.report(metrics.RadioBytesOnAir, uint64(pkt.Size()))
 	airtime := m.Airtime(pkt.Size())
 	start := m.k.Now()
 	end := start + airtime + m.cfg.PropDelay
@@ -491,13 +474,11 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 		}
 		if m.cfg.LossRate > 0 && m.k.Rand().Float64() < m.cfg.LossRate {
 			m.stats.Lost++
-			m.report(metrics.RadioLost, 1)
 			m.observeLoss(st, pkt, "loss")
 			continue
 		}
 		if st.rxLoss > 0 && m.k.Rand().Float64() < st.rxLoss {
 			m.stats.Lost++
-			m.report(metrics.RadioLost, 1)
 			m.observeLoss(st, pkt, "loss")
 			continue
 		}
@@ -512,7 +493,6 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 				if prev.end > start && !prev.corrupted {
 					prev.corrupted = true
 					m.stats.Collided++
-					m.report(metrics.RadioCollided, 1)
 				}
 				if prev.end > start {
 					d.corrupted = true
@@ -520,7 +500,6 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 			}
 			if d.corrupted {
 				m.stats.Collided++
-				m.report(metrics.RadioCollided, 1)
 			}
 			st.pending = append(st.pending, d)
 		}
@@ -582,59 +561,5 @@ func (m *Medium) deliver(d *delivery) {
 		return
 	}
 	m.stats.Deliveries++
-	m.report(metrics.RadioDeliveries, 1)
 	st.handler(pkt)
-}
-
-// Pool carries a medium's recycled hot-path storage — delivery structs,
-// delivery batches and the receiver scratch buffer — between sequential
-// runs (the run arena; see sim.EventPool for the kernel half). A zero Pool
-// is valid and empty. Pools are not safe for concurrent use: each run
-// adopts the pool's storage exclusively and harvests it back when done.
-type Pool struct {
-	del     []*delivery
-	batches []*deliveryBatch
-	scratch [][]*Station
-}
-
-// AdoptPool seeds m's free lists from p, emptying p. Call once, on a
-// freshly constructed medium.
-func (m *Medium) AdoptPool(p *Pool) {
-	if p.del != nil {
-		m.freeDel = p.del
-		p.del = nil
-	}
-	if p.batches != nil {
-		m.freeBatch = p.batches
-		p.batches = nil
-	}
-	if n := len(p.scratch); n > 0 {
-		m.rxScratch = p.scratch[n-1][:0]
-		p.scratch[n-1] = nil
-		p.scratch = p.scratch[:n-1]
-	}
-}
-
-// HarvestPool moves m's pooled storage into p and detaches it from m. The
-// medium remains usable afterwards (it simply allocates fresh storage),
-// but the harvested structures must not be reached through stale kernel
-// events — the caller harvests the kernel in the same breath, which
-// invalidates every scheduled delivery. All station and packet references
-// are cleared so the pool never pins a dead world in memory.
-func (m *Medium) HarvestPool(p *Pool) {
-	// Free-listed deliveries were already cleared by putDelivery; batches
-	// nil their entries in deliverBatch. Deliveries still in flight are
-	// abandoned to the GC along with their kernel events.
-	p.del = append(p.del, m.freeDel...)
-	m.freeDel = nil
-	p.batches = append(p.batches, m.freeBatch...)
-	m.freeBatch = nil
-	if m.rxScratch != nil {
-		s := m.rxScratch[:cap(m.rxScratch)]
-		for i := range s {
-			s[i] = nil
-		}
-		p.scratch = append(p.scratch, s[:0])
-		m.rxScratch = nil
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"wmsn/internal/geom"
-	"wmsn/internal/metrics"
 	"wmsn/internal/packet"
 	"wmsn/internal/sim"
 )
@@ -412,34 +411,9 @@ func TestCSMAHiddenTerminalStillCollides(t *testing.T) {
 	}
 }
 
-func TestMetricsSinkMirrorsStats(t *testing.T) {
-	k := sim.NewKernel(1)
-	sink := metrics.New()
-	cfg := SensorRadio()
-	cfg.Metrics = sink
-	m := New(k, cfg)
-	s1 := m.Attach(1, geom.Point{X: 0, Y: 0}, 30, func(p *packet.Packet) {})
-	m.Attach(2, geom.Point{X: 10, Y: 0}, 30, func(p *packet.Packet) {})
-	m.Transmit(s1, testPkt(1))
-	k.RunAll()
-	st := m.Stats()
-	if st.Transmissions != 1 || st.Deliveries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if got := sink.Count(metrics.RadioTransmissions); got != st.Transmissions {
-		t.Fatalf("sink transmissions = %d, stats %d", got, st.Transmissions)
-	}
-	if got := sink.Count(metrics.RadioDeliveries); got != st.Deliveries {
-		t.Fatalf("sink deliveries = %d, stats %d", got, st.Deliveries)
-	}
-	if got := sink.Count(metrics.RadioBytesOnAir); got != st.BytesOnAir {
-		t.Fatalf("sink bytes = %d, stats %d", got, st.BytesOnAir)
-	}
-}
-
 func TestNilMetricsSinkIsFine(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := New(k, SensorRadio()) // no sink configured
+	m := New(k, SensorRadio())
 	s1 := m.Attach(1, geom.Point{X: 0, Y: 0}, 30, func(p *packet.Packet) {})
 	m.Attach(2, geom.Point{X: 5, Y: 0}, 30, func(p *packet.Packet) {})
 	m.Transmit(s1, testPkt(1))

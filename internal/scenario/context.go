@@ -36,19 +36,15 @@ func canceled(ctx context.Context) error {
 // context.TODO) arms no flag and no watcher, so it adds no work and no
 // allocation to the run.
 //
-// The run draws its kernel/radio storage from a shared arena pool: the
-// world is private to this call and fully torn down before returning, so
-// its event structs and delivery buffers are recycled into the next run
-// instead of being garbage. Callers composing BuildE + RunTraffic
-// themselves keep plain GC-managed worlds.
+// The run owns all of its state: its kernel, media and world are built by
+// BuildE, exactly as for a hand-driven net, and share nothing with other
+// runs.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, canceled(ctx)
 	}
-	ar := arenas.Get().(*runArena)
-	n, err := buildE(cfg, ar)
+	n, err := BuildE(cfg)
 	if err != nil {
-		arenas.Put(ar)
 		return Result{}, err
 	}
 	var stop func() bool
@@ -61,8 +57,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if stop != nil {
 		stop()
 	}
-	n.World.ReleasePools()
-	arenas.Put(ar)
 	if err := ctx.Err(); err != nil {
 		// The world stopped mid-run; its summary is partial and misleading,
 		// so report only the cancellation.

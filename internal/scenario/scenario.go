@@ -305,13 +305,6 @@ func GatewayID(i int) packet.NodeID { return packet.NodeID(1_000_000 + i) }
 // (e.g. no feasible round schedule exists) comes back as an error rather
 // than a panic.
 func BuildE(cfg Config) (*Net, error) {
-	return buildE(cfg, nil)
-}
-
-// buildE is BuildE with an optional run arena: when ar is non-nil the world
-// adopts its recycled kernel/radio storage, and the caller is responsible
-// for harvesting it back (World.ReleasePools) once the run is over.
-func buildE(cfg Config, ar *runArena) (*Net, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: invalid config: %w", err)
 	}
@@ -331,16 +324,10 @@ func buildE(cfg Config, ar *runArena) (*Net, error) {
 			LossRate:   cfg.LossRate,
 			Collisions: cfg.Collisions,
 			CSMA:       cfg.CSMA,
-			Metrics:    m,
 		},
 		EnergyModel:   cfg.EnergyModel,
 		SensorBattery: cfg.SensorBattery,
 		Obs:           cfg.Obs,
-	}
-	if ar != nil {
-		wcfg.EventPool = &ar.events
-		wcfg.SensorPool = &ar.sensor
-		wcfg.MeshPool = &ar.mesh
 	}
 	w := node.NewWorld(wcfg)
 	if cfg.Progress != nil {
@@ -511,18 +498,30 @@ func (n *Net) RunTraffic() Result {
 	return res
 }
 
-// Summarize captures the current state as a Result.
+// Summarize captures the current state as a Result. It also copies the
+// sensor medium's counters into the Radio* fields of the run's metrics, the
+// only place those fields are written, so the snapshot carries them; a
+// second call leaves them as they are.
 func (n *Net) Summarize() Result {
 	var rel *fault.Reliability
 	if n.injector != nil {
 		rel = n.injector.Finish()
 	}
+	st := n.World.SensorMedium().Stats()
+	m := n.Metrics
+	m.RadioTransmissions = st.Transmissions
+	m.RadioDeliveries = st.Deliveries
+	m.RadioLost = st.Lost
+	m.RadioCollided = st.Collided
+	m.RadioBytesOnAir = st.BytesOnAir
+	m.RadioBackoffs = st.Backoffs
+	m.RadioDropped = st.CSMADropped
 	return Result{
 		Reliability:  rel,
 		Cfg:          n.Cfg,
-		Metrics:      n.Metrics,
+		Metrics:      m,
 		Energy:       n.World.SensorEnergyStats(),
-		Radio:        n.World.SensorMedium().Stats(),
+		Radio:        st,
 		FirstDeath:   n.World.FirstSensorDeath(),
 		SensorsAlive: n.World.SensorsAlive(),
 		SensorsTotal: n.World.SensorsTotal(),

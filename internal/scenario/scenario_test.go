@@ -5,11 +5,13 @@ import (
 	"context"
 	"testing"
 
+	"wmsn/internal/core"
 	"wmsn/internal/energy"
 	"wmsn/internal/geom"
 	"wmsn/internal/node"
 	"wmsn/internal/packet"
 	"wmsn/internal/protocol"
+	"wmsn/internal/radio"
 	"wmsn/internal/sim"
 )
 
@@ -78,6 +80,37 @@ func TestRunSPREndToEnd(t *testing.T) {
 	}
 	if res.FirstDeath != -1 {
 		t.Fatal("unexpected sensor death in short run")
+	}
+}
+
+// TestSummarizeCopiesRadioStats checks that the Radio* counters of a run's
+// metrics are the sensor medium's Stats, on a lossy, colliding CSMA run
+// that moves all seven, and that summarizing again changes none of them.
+func TestSummarizeCopiesRadioStats(t *testing.T) {
+	cfg := Config{Seed: 11, Protocol: SPR, NumSensors: 40, Side: 120,
+		SensorRange: 40, NumGateways: 2, LossRate: 0.1, Collisions: true,
+		CSMA: true, RunFor: 30 * sim.Second}
+	radioFields := func(m *core.Metrics) radio.Stats {
+		return radio.Stats{
+			Transmissions: m.RadioTransmissions, Deliveries: m.RadioDeliveries,
+			Lost: m.RadioLost, Collided: m.RadioCollided, BytesOnAir: m.RadioBytesOnAir,
+			Backoffs: m.RadioBackoffs, CSMADropped: m.RadioDropped,
+		}
+	}
+	n := mustBuild(t, cfg)
+	res := n.RunTraffic()
+	r := res.Radio
+	if r.Transmissions == 0 || r.Deliveries == 0 || r.Lost == 0 || r.Collided == 0 ||
+		r.BytesOnAir == 0 || r.Backoffs == 0 || r.CSMADropped == 0 {
+		t.Fatalf("run leaves a radio counter at zero: %+v", r)
+	}
+	if got := radioFields(res.Metrics); got != r {
+		t.Fatalf("metrics radio counters %+v, medium stats %+v", got, r)
+	}
+	again := n.Summarize()
+	if got := radioFields(again.Metrics); got != r || again.Radio != r {
+		t.Fatalf("second Summarize moved the radio counters: %+v (stats %+v), want %+v",
+			got, again.Radio, r)
 	}
 }
 

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 )
@@ -420,67 +421,4 @@ func (k *Kernel) Run(until Time) uint64 {
 }
 
 // RunAll executes events until the queue drains or Stop is called.
-func (k *Kernel) RunAll() uint64 {
-	k.stopped = false
-	start := k.fired
-	check := 0
-	for !k.stopped {
-		if k.interrupt != nil || k.progress != nil {
-			if check == 0 {
-				k.progress.Publish(k.now, k.fired)
-				if k.interrupt != nil && k.interrupt.Load() {
-					k.stopped = true
-					break
-				}
-				check = interruptStride
-			}
-			check--
-		}
-		if !k.Step() {
-			break
-		}
-	}
-	k.progress.Publish(k.now, k.fired)
-	return k.fired - start
-}
-
-// EventPool carries recycled kernel storage — pooled event structs and the
-// heap's backing array — between sequential runs (the run arena). A zero
-// EventPool is valid and empty. Pools are not safe for concurrent use:
-// each run adopts the pool exclusively and harvests it back when done.
-type EventPool struct {
-	free  []*event
-	queue []*event // reused for heap capacity only; always length 0
-}
-
-// AdoptEventPool seeds k's free list and heap capacity from p, emptying p.
-// Call once, on a freshly created kernel with nothing scheduled.
-func (k *Kernel) AdoptEventPool(p *EventPool) {
-	if p.free != nil {
-		k.free = p.free
-		p.free = nil
-	}
-	if p.queue != nil {
-		k.queue = p.queue[:0]
-		p.queue = nil
-	}
-}
-
-// HarvestEventPool moves k's event storage into p and detaches it from k.
-// Events still scheduled are cancelled and recycled: their callbacks are
-// cleared and their generation bumped, so Timer and Repeater handles held
-// by the finished run's stacks become inert no-ops — exactly as if every
-// outstanding timer had been stopped. The kernel itself remains usable
-// (it allocates fresh storage on the next schedule), but the run it drove
-// is over.
-func (k *Kernel) HarvestEventPool(p *EventPool) {
-	for i, ev := range k.queue {
-		ev.index = -1
-		k.putEvent(ev) // clears fn/argFn/arg and bumps gen
-		k.queue[i] = nil
-	}
-	p.free = append(p.free, k.free...)
-	p.queue = k.queue[:0]
-	k.free = nil
-	k.queue = nil
-}
+func (k *Kernel) RunAll() uint64 { return k.Run(math.MaxInt64) }
