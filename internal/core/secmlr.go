@@ -217,6 +217,14 @@ func (g *SecMLRGateway) handleRReq(pkt *packet.Packet) {
 		}
 		return
 	}
+	// Any other copy of a request judged here before is late: its window
+	// has closed. It is not a replay, though a verbatim replay of a
+	// concluded request looks the same and is counted with these copies; a
+	// block replayed under a fresh seq still fails the counter check below.
+	if g.seen.Check(pkt.Origin, pkt.Seq) {
+		g.Metrics.Inc(metrics.LateRReqCopies)
+		return
+	}
 	// ... and (2) freshness via the incremental counter (§6.2.2).
 	if !g.fresh(g.Metrics, pkt.Origin, mine.Counter) {
 		return

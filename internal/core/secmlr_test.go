@@ -139,16 +139,24 @@ func TestSecMLRGatewayRejectsUnknownSensor(t *testing.T) {
 	}
 }
 
+// TestSecMLRReplayedDataRejected replays a captured DATA frame, then sends
+// the captured route request again: verbatim, which the gateway drops as a
+// late copy of a concluded request, and under a fresh seq, which still
+// fails the counter check as a replay.
 func TestSecMLRReplayedDataRejected(t *testing.T) {
 	sensors := line(4, 0, 10)
 	places := []geom.Point{{X: 40}}
 	w, m, ss, _, _ := secWorld(t, 1, sensors, places, [][]int{{0}}, sim.Hour, 12)
 
-	// A promiscuous eavesdropper near the gateway captures data packets.
-	var captured *packet.Packet
+	// A promiscuous eavesdropper near the gateway captures data packets
+	// and the first route request it hears.
+	var captured, capturedRReq *packet.Packet
 	capStack := &captureStack{onData: func(p *packet.Packet) {
-		if p.Kind == packet.KindData && p.Sec != nil {
+		switch {
+		case p.Kind == packet.KindData && p.Sec != nil:
 			captured = p.Clone()
+		case p.Kind == packet.KindRReq && capturedRReq == nil:
+			capturedRReq = p.Clone()
 		}
 	}}
 	atk := w.AddSensor(666, geom.Point{X: 35}, 12, 0, capStack)
@@ -156,8 +164,8 @@ func TestSecMLRReplayedDataRejected(t *testing.T) {
 
 	ss[1].OriginateData([]byte("reading"))
 	w.Run(10 * sim.Second)
-	if m.Delivered != 1 || captured == nil {
-		t.Fatalf("setup failed: delivered=%d captured=%v", m.Delivered, captured != nil)
+	if m.Delivered != 1 || captured == nil || capturedRReq == nil {
+		t.Fatalf("setup failed: delivered=%d captured=%v rreq=%v", m.Delivered, captured != nil, capturedRReq != nil)
 	}
 	// Replay the captured packet verbatim.
 	replays := m.RejectedReplay
@@ -170,6 +178,30 @@ func TestSecMLRReplayedDataRejected(t *testing.T) {
 	}
 	if m.Delivered != 1 {
 		t.Fatalf("replay double-delivered: %d", m.Delivered)
+	}
+
+	// The concluded route request sent again verbatim is a late copy.
+	replays, late, answered := m.RejectedReplay, m.LateRReqCopies, m.RResSent
+	again := *capturedRReq
+	again.From = 666
+	atk.Send(&again)
+	w.Run(w.Kernel().Now() + 5*sim.Second)
+	if m.LateRReqCopies != late+1 || m.RejectedReplay != replays {
+		t.Fatalf("verbatim RREQ: late copies %d -> %d, replays %d -> %d; want one late copy, no replay",
+			late, m.LateRReqCopies, replays, m.RejectedReplay)
+	}
+	// Its block under a fresh seq is a replay. Relays forward that request,
+	// so the gateway's later copies of it count as late.
+	fresh := *capturedRReq
+	fresh.From = 666
+	fresh.Seq += 100
+	atk.Send(&fresh)
+	w.Run(w.Kernel().Now() + 5*sim.Second)
+	if m.RejectedReplay != replays+1 {
+		t.Fatalf("RREQ block under a fresh seq: replays %d -> %d, want one replay", replays, m.RejectedReplay)
+	}
+	if m.RResSent != answered {
+		t.Fatalf("gateway answered a resent route request (RRES %d -> %d)", answered, m.RResSent)
 	}
 }
 
