@@ -171,31 +171,25 @@ type Eval struct {
 }
 
 // Evaluate builds the unit-disk graph over sensors+gateways and measures
-// hop statistics to the nearest gateway.
+// hop statistics to the nearest gateway. Sensor i is vertex i (ID i+1) and
+// gateway j follows the sensors, so no two nodes share an ID whatever the
+// field size.
 func Evaluate(sensors, gateways []geom.Point, rangeM float64) Eval {
-	pos := make(map[packet.NodeID]geom.Point, len(sensors)+len(gateways))
-	ranges := make(map[packet.NodeID]float64, len(sensors)+len(gateways))
-	var sensorIDs, gwIDs []packet.NodeID
-	for i, p := range sensors {
-		id := packet.NodeID(i + 1)
-		pos[id], ranges[id] = p, rangeM
-		sensorIDs = append(sensorIDs, id)
+	n := len(sensors) + len(gateways)
+	ids := make([]packet.NodeID, n)
+	pts := append(append(make([]geom.Point, 0, n), sensors...), gateways...)
+	ranges := make([]float64, n)
+	for i := range ids {
+		ids[i], ranges[i] = packet.NodeID(i+1), rangeM
 	}
-	for i, p := range gateways {
-		id := packet.NodeID(100000 + i)
-		pos[id], ranges[id] = p, rangeM
-		gwIDs = append(gwIDs, id)
-	}
-	g := network.Build(pos, ranges)
+	g := network.BuildSorted(ids, pts, ranges)
 	// One multi-source BFS from the gateways replaces a full BFS per sensor
 	// (identical hop values: edges are symmetric), which is what makes
 	// 10k-node placement sweeps tractable.
-	dist := g.MultiSourceHops(gwIDs)
 	var ev Eval
 	reachable := 0
-	for _, s := range sensorIDs {
-		h, ok := dist[s]
-		if !ok {
+	for _, h := range g.MultiSourceHops(ids[len(sensors):])[:len(sensors)] {
+		if h < 0 {
 			ev.Unreachable++
 			continue
 		}

@@ -123,6 +123,23 @@ func TestEvaluateHops(t *testing.T) {
 	}
 }
 
+// At 100,000 sensors the last sensor's ID used to be the first gateway's:
+// the gateway took its place and the sensor scored 0 hops. Here 99,999
+// sensors sit on a 100 m lattice, out of each other's 40 m range, and only
+// the last one is within range of the gateway, 10 m away.
+func TestEvaluateSensor100000IsNotAGateway(t *testing.T) {
+	const n = 100_000
+	sensors := make([]geom.Point, n)
+	for i := range sensors[:n-1] {
+		sensors[i] = geom.Point{X: float64(100 * (i % 316)), Y: float64(100 * (i / 316))}
+	}
+	sensors[n-1] = geom.Point{X: -510, Y: -500}
+	ev := Evaluate(sensors, []geom.Point{{X: -500, Y: -500}}, 40)
+	if ev.AvgHops != 1 || ev.MaxHops != 1 || ev.TotalHops != 1 || ev.Unreachable != n-1 {
+		t.Fatalf("Evaluate = %+v, want the last sensor 1 hop away and the others unreachable", ev)
+	}
+}
+
 func TestKmaxSaturation(t *testing.T) {
 	// Lifetime improves fast, then flatlines at k=4.
 	values := []float64{10, 18, 25, 29, 29.5, 29.8, 29.9}
