@@ -74,7 +74,8 @@ soak:
 
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
 # and SecMLR stacks, the incremental spatial grid, which fills every radio
-# receiver list, wmsnd's request decoder and validator, and the SecMLR
+# receiver list, the connectivity graph against its pairwise-scan oracle,
+# wmsnd's request decoder and validator, and the SecMLR
 # crypto primitives against the standard library's (FuzzCryptoMatchesStdlib:
 # HMAC against crypto/hmac, AES-CTR against crypto/cipher). A worker
 # reports no execs while it minimizes a new input, for up to 60 s by
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
+	$(GO) test -fuzz=FuzzBuildMatchesBruteForce -fuzztime=30s -fuzzminimizetime=1s ./internal/network/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/
 	$(GO) test -fuzz=FuzzCryptoMatchesStdlib -fuzztime=30s -fuzzminimizetime=1s ./internal/wsncrypto/
 
