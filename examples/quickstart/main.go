@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 
 	"wmsn"
 )
@@ -37,8 +38,15 @@ func main() {
 	fmt.Printf("mean sensor energy : %.2f mJ\n", res.Energy.Mean*1000)
 
 	// Which gateway absorbed how much — the multi-gateway architecture at
-	// work (a flat WSN would funnel everything into one sink).
-	for gw, count := range m.PerGateway() {
-		fmt.Printf("  via %v: %d readings\n", gw, count)
+	// work (a flat WSN would funnel everything into one sink). Printed in
+	// gateway ID order, so a seed prints the same lines every run.
+	perGW := m.PerGateway()
+	gws := make([]wmsn.NodeID, 0, len(perGW))
+	for gw := range perGW {
+		gws = append(gws, gw)
+	}
+	slices.Sort(gws)
+	for _, gw := range gws {
+		fmt.Printf("  via %v: %d readings\n", gw, perGW[gw])
 	}
 }
