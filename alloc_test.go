@@ -12,16 +12,17 @@ import (
 	"testing"
 
 	"wmsn"
+	"wmsn/internal/experiments"
 )
 
 // TestEndToEndAllocsPinned pins the heap allocations of the end-to-end
 // benchmark workloads over seeds 1-8. Each pin is the highest count and
 // each spread the distance down to the lowest seen on go1.24.0 linux/amd64
-// in 900 processes (2,400 for SecMLR): run alone, after the other
+// in 300 processes (2,200 for SecMLR): run alone, after the other
 // workloads, and with -count=3 -cpu 1,4. Every map gets its own random
 // hash seed, so map growth, and with it the count, varies a little from
-// run to run: by one allocation for SPR and ARQ, by about a hundred for
-// SecMLR.
+// run to run: by up to one allocation for SPR and ARQ, by about a hundred
+// for SecMLR.
 //
 // A count above its pin is a regression. A count below pin-spread means
 // allocations were removed: lower the pin, re-measure the spread over many
@@ -33,34 +34,58 @@ func TestEndToEndAllocsPinned(t *testing.T) {
 		cfg         func(seed int64) wmsn.Config
 		pin, spread uint64
 	}{
-		{"spr", sprWorkload, 177_917, 1},
-		{"secmlr", secMLRWorkload, 367_223, 116},
-		{"arq-on", arqWorkload(0), 200_007, 1},
-		{"arq-on-lossy", arqWorkload(0.2), 165_803, 1},
+		{"spr", sprWorkload, 171_602, 1},
+		{"secmlr", secMLRWorkload, 362_344, 121},
+		{"arq-on", arqWorkload(0), 193_688, 1},
+		{"arq-on-lossy", arqWorkload(0.2), 161_385, 1},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			got := seedSetMallocs(t, p.cfg)
-			t.Logf("%d allocations (pin %d, spread %d, %s)", got, p.pin, p.spread, runtime.Version())
-			switch {
-			case got > p.pin:
-				t.Errorf("%d allocations over seeds 1-8, above the pin %d (%s)", got, p.pin, runtime.Version())
-			case got+p.spread < p.pin:
-				t.Errorf("%d allocations over seeds 1-8, below the pin %d by more than its spread %d (%s): lower the pin",
-					got, p.pin, p.spread, runtime.Version())
-			}
+			requirePin(t, seedSetMallocs(t, p.cfg), p.pin, p.spread, "over seeds 1-8")
 		})
 	}
 }
 
+// TestScaleAllocsPinned pins the heap allocations of the two calls
+// wmsnbench -scale makes, at 2,000 sensors on its field seed: the hop
+// sweep over m = 1, 4 and 16 on one worker, and the broadcast wave. The
+// graph is a few flat arrays and every reception lives inside its batch,
+// so neither count grows with the edges or the receptions; per-vertex map
+// entries or per-reception heap objects would multiply them. Pins and
+// spreads were measured as TestEndToEndAllocsPinned's were.
+func TestScaleAllocsPinned(t *testing.T) {
+	const n, seed = 2000, 901
+	for _, p := range []struct {
+		name        string
+		call        func()
+		pin, spread uint64
+	}{
+		{"sweep", func() { experiments.ScaleSweep(experiments.Opts{Workers: 1}, n, []int{1, 4, 16}, seed) }, 175, 0},
+		{"traffic", func() { experiments.ScaleTraffic(experiments.Opts{}, n, seed) }, 19_174, 1},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			requirePin(t, mallocs(p.call), p.pin, p.spread, "at 2,000 sensors")
+		})
+	}
+}
+
+// requirePin fails t unless got lies within [pin-spread, pin].
+func requirePin(t *testing.T, got, pin, spread uint64, what string) {
+	t.Helper()
+	t.Logf("%d allocations (pin %d, spread %d, %s)", got, pin, spread, runtime.Version())
+	switch {
+	case got > pin:
+		t.Errorf("%d allocations %s, above the pin %d (%s)", got, what, pin, runtime.Version())
+	case got+spread < pin:
+		t.Errorf("%d allocations %s, below the pin %d by more than its spread %d (%s): lower the pin",
+			got, what, pin, spread, runtime.Version())
+	}
+}
+
 // seedSetMallocs counts the heap allocations of one pass over seeds 1-8 of
-// cfg. A warm-up pass over the same seeds comes first, so every lazily
-// built table is filled. Both passes run on one P, and the measured pass
-// with the collector off: without them a fixed run's count varies more
-// from process to process (over 120 processes without them, SPR's spread
-// was 14 allocations and armed ARQ's 11; over 900 with them, 1 each).
+// cfg.
 func seedSetMallocs(t *testing.T, cfg func(seed int64) wmsn.Config) uint64 {
 	t.Helper()
-	pass := func() {
+	return mallocs(func() {
 		for seed := int64(1); seed <= 8; seed++ {
 			res, err := wmsn.RunContext(context.Background(), cfg(seed))
 			if err != nil {
@@ -70,7 +95,16 @@ func seedSetMallocs(t *testing.T, cfg func(seed int64) wmsn.Config) uint64 {
 				t.Fatalf("seed %d delivered nothing", seed)
 			}
 		}
-	}
+	})
+}
+
+// mallocs counts the heap allocations of one call of pass. A warm-up call
+// comes first, so every lazily built table is filled. Both calls run on one
+// P, and the measured one with the collector off: without them a fixed
+// run's count varies more from process to process (over 120 processes
+// without them, SPR's spread was 14 allocations and armed ARQ's 11; over
+// 900 with them, 1 each).
+func mallocs(pass func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pass()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -10,10 +10,11 @@ import (
 )
 
 // Steady-state cost of one transmit+deliver cycle: nothing, whatever the
-// number of listeners. Every listener gets the sent frame itself, events
-// come from the kernel pool, deliveries from the medium pool, the receiver
-// set from the sender's cache (or the scratch buffer), and no closure or
-// Timer is created.
+// number of listeners. Every listener gets the sent frame itself, the one
+// event per transmission comes from the kernel pool, the receptions live by
+// value in a batch from the medium's free list, the receiver set comes from
+// the sender's cache (or the scratch buffer), and no closure or Timer is
+// created.
 func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	for _, listeners := range []int{1, 8, 32} {
 		t.Run(fmt.Sprintf("listeners=%d", listeners), func(t *testing.T) {
@@ -80,8 +81,9 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	})
 }
 
-// The collision model's pending lists must not break delivery pooling: under
-// sustained overlapping traffic a cycle still allocates nothing.
+// The collision model's pending lists, which point into batch entries, must
+// not keep batches from being recycled: under sustained overlapping traffic
+// a cycle still allocates nothing.
 func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
@@ -102,8 +104,8 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	}
 }
 
-// Recycled deliveries must not alias: a delivery handed to one receiver
-// stays intact after its struct is reused for later traffic.
+// Recycled batches must not alias: a frame handed to one receiver stays
+// intact after its batch is reused for later traffic.
 func TestDeliveryRecyclingDoesNotAlias(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000})
@@ -121,7 +123,7 @@ func TestDeliveryRecyclingDoesNotAlias(t *testing.T) {
 	}
 	for i, s := range seqs {
 		if s != uint32(i) {
-			t.Fatalf("delivery %d carried seq %d (recycled delivery aliased)", i, s)
+			t.Fatalf("delivery %d carried seq %d (recycled batch aliased)", i, s)
 		}
 	}
 }

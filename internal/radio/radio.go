@@ -86,7 +86,8 @@ type Station struct {
 	rxLoss    float64 // extra per-station reception loss probability
 	medium    *Medium
 	// pending tracks receptions in flight, for the collision model;
-	// any two receptions whose airtimes overlap corrupt each other.
+	// any two receptions whose airtimes overlap corrupt each other. Each
+	// points into the entries of the reception's batch.
 	pending []*delivery
 	// rx caches the ID-sorted stations within range once rxFilled is set.
 	// rxEpoch and rxRange are the key it was (or is about to be) filled
@@ -144,10 +145,11 @@ func (s *Station) Move(p geom.Point) {
 	s.medium.reindex(s, p)
 }
 
+// delivery is one reception of its batch's frame: the receiving station,
+// the instant the reception ends, and whether an overlapping reception
+// corrupted it.
 type delivery struct {
 	to        *Station
-	pkt       *packet.Packet
-	start     sim.Time
 	end       sim.Time
 	corrupted bool
 }
@@ -160,8 +162,15 @@ type delivery struct {
 // handler invocation order is identical to the per-event schedule, whose
 // same-timestamp events fired in the consecutive sequence order they were
 // created in.
+//
+// The receptions live by value in entries, and the frame is carried once.
+// entries never grows past the capacity it is taken with, so it never
+// moves, and the collision model's pending lists point into it. next is
+// the first entry not yet delivered.
 type deliveryBatch struct {
-	entries []*delivery
+	pkt     *packet.Packet
+	entries []delivery
+	next    int
 }
 
 // activeTx records a transmission occupying the channel, for carrier sense.
@@ -183,13 +192,11 @@ type Medium struct {
 	// station's receiver cache. It changes only where the grid does.
 	epoch uint64
 
-	// Hot-path scratch: delivery structs and batches are pooled on free
-	// lists and scheduled through the kernel's zero-alloc arg path via
-	// deliverFn/deliverBatchFn (bound once here, so no per-delivery closure
-	// exists); rxScratch is the reusable receiver buffer for transmitNow.
-	freeDel        []*delivery
+	// Hot-path scratch: batches are pooled on a free list and scheduled
+	// through the kernel's zero-alloc arg path via deliverBatchFn (bound
+	// once here, so no per-batch closure exists); rxScratch is the reusable
+	// receiver buffer for transmitNow.
 	freeBatch      []*deliveryBatch
-	deliverFn      func(any)
 	deliverBatchFn func(any)
 	rxScratch      []*Station
 }
@@ -212,39 +219,22 @@ func New(k *sim.Kernel, cfg Config) *Medium {
 		stations: make(map[packet.NodeID]*Station),
 		grid:     geom.NewGridIndex[*Station](cell),
 	}
-	m.deliverFn = func(arg any) { m.deliver(arg.(*delivery)) }
 	m.deliverBatchFn = func(arg any) { m.deliverBatch(arg.(*deliveryBatch)) }
 	return m
 }
 
-func (m *Medium) getBatch() *deliveryBatch {
-	if n := len(m.freeBatch); n > 0 {
-		b := m.freeBatch[n-1]
-		m.freeBatch[n-1] = nil
-		m.freeBatch = m.freeBatch[:n-1]
+// getBatch returns an empty batch with room for n entries.
+func (m *Medium) getBatch(n int) *deliveryBatch {
+	if k := len(m.freeBatch); k > 0 {
+		b := m.freeBatch[k-1]
+		m.freeBatch[k-1] = nil
+		m.freeBatch = m.freeBatch[:k-1]
+		if cap(b.entries) < n {
+			b.entries = make([]delivery, 0, n)
+		}
 		return b
 	}
-	return &deliveryBatch{}
-}
-
-func (m *Medium) getDelivery() *delivery {
-	if n := len(m.freeDel); n > 0 {
-		d := m.freeDel[n-1]
-		m.freeDel[n-1] = nil
-		m.freeDel = m.freeDel[:n-1]
-		return d
-	}
-	return &delivery{}
-}
-
-// putDelivery recycles a delivery once its own deliver event has run and it
-// is out of every pending list. Deliveries dropped from a pending list by a
-// sibling's compaction stay live until their own event fires.
-func (m *Medium) putDelivery(d *delivery) {
-	d.to = nil
-	d.pkt = nil
-	d.corrupted = false
-	m.freeDel = append(m.freeDel, d)
+	return &deliveryBatch{entries: make([]delivery, 0, n)}
 }
 
 // Stats returns a snapshot of medium counters.
@@ -466,9 +456,11 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 	}
 	// Every listener gets the sent frame itself (see Transmit). The batch
 	// is taken at the first reception that survives the loss draws, so a
-	// transmission nobody hears schedules nothing.
+	// transmission nobody hears schedules nothing, and with room for every
+	// receiver, so its entries never move.
 	var batch *deliveryBatch
-	for _, st := range m.receivers(from, rangeM, &m.rxScratch) {
+	rx := m.receivers(from, rangeM, &m.rxScratch)
+	for _, st := range rx {
 		if !st.listening {
 			continue
 		}
@@ -483,11 +475,12 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 			continue
 		}
 		if batch == nil {
-			batch = m.getBatch()
+			batch = m.getBatch(len(rx))
+			batch.pkt = pkt
 		}
-		d := m.getDelivery()
-		d.to, d.pkt, d.start, d.end = st, pkt, start, end
+		batch.entries = append(batch.entries, delivery{to: st, end: end})
 		if m.cfg.Collisions {
+			d := &batch.entries[len(batch.entries)-1]
 			// Any reception overlapping an in-flight one corrupts both.
 			for _, prev := range st.pending {
 				if prev.end > start && !prev.corrupted {
@@ -503,45 +496,46 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet, rangeM float64) 
 			}
 			st.pending = append(st.pending, d)
 		}
-		batch.entries = append(batch.entries, d)
 	}
 	if batch != nil {
 		m.k.ScheduleArgAt(end, m.deliverBatchFn, batch)
 	}
 }
 
-// deliverBatch completes every reception of one transmission. All entries
-// share the same arrival instant, and their ID-sorted order matches the
-// firing order of the per-event schedule they replace (consecutive
-// sequence numbers at an equal timestamp).
+// deliverBatch completes the receptions of one transmission, from b.next
+// on. All entries share the same arrival instant, and their ID-sorted order
+// matches the firing order of the per-event schedule they replace
+// (consecutive sequence numbers at an equal timestamp).
+//
+// Kernel.Stop can land inside the batch, typically when a reception's
+// energy charge kills the node whose death stops the run. The rest of the
+// batch is then re-queued as one event at the same instant, so a run that
+// never resumes drops it, and a resumed run delivers it in order before
+// anything queued after it, as one event per reception would.
+//
+// The batch is recycled once every entry is delivered. By then each
+// entry's own delivery has dropped it from its station's pending list, so
+// nothing points into the entries any more.
 func (m *Medium) deliverBatch(b *deliveryBatch) {
-	for i, d := range b.entries {
-		if m.k.Stopped() {
-			// Kernel.Stop landed inside this batch (typically a reception's
-			// energy charge killed the node whose death stops the run). The
-			// per-event schedule would have left the remaining receptions
-			// as queued events, so re-queue them individually: a run that
-			// never resumes drops them exactly as before, and a resumed
-			// run still completes them.
-			for j := i; j < len(b.entries); j++ {
-				m.k.ScheduleArgAt(b.entries[j].end, m.deliverFn, b.entries[j])
-				b.entries[j] = nil
-			}
-			break
+	for b.next < len(b.entries) {
+		d := &b.entries[b.next]
+		b.next++
+		m.deliver(d, b.pkt)
+		if b.next < len(b.entries) && m.k.Stopped() {
+			m.k.ScheduleArgAt(m.k.Now(), m.deliverBatchFn, b)
+			return
 		}
-		b.entries[i] = nil
-		m.deliver(d)
 	}
-	b.entries = b.entries[:0]
+	clear(b.entries)
+	b.entries, b.pkt, b.next = b.entries[:0], nil, 0
 	m.freeBatch = append(m.freeBatch, b)
 }
 
-func (m *Medium) deliver(d *delivery) {
+func (m *Medium) deliver(d *delivery, pkt *packet.Packet) {
 	st := d.to
 	if m.cfg.Collisions {
-		// Drop completed receptions from the pending set. This always drops
-		// d itself (d.end == now), so d is unreferenced after this call and
-		// safe to recycle below.
+		// Drop completed receptions from the pending set, d among them
+		// (d.end == now).
 		now := m.k.Now()
 		kept := st.pending[:0]
 		for _, p := range st.pending {
@@ -551,9 +545,7 @@ func (m *Medium) deliver(d *delivery) {
 		}
 		st.pending = kept
 	}
-	corrupted, pkt := d.corrupted, d.pkt
-	m.putDelivery(d)
-	if corrupted {
+	if d.corrupted {
 		m.observeLoss(st, pkt, "collision")
 		return
 	}

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,51 @@ func TestDetachStopsDelivery(t *testing.T) {
 	k.RunAll()
 	if n != 0 {
 		t.Fatal("detached station received later packet")
+	}
+}
+
+// A Stop issued by a handler inside a batch halts delivery right after that
+// handler, as a schedule of one event per reception would. A resumed run
+// delivers the rest of the batch in ID order, at the same instant, each
+// once, and the recycled batch then carries the next frame whole.
+func TestStopInsideBatchThenResume(t *testing.T) {
+	for _, collisions := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		m := New(k, Config{BitRate: 250_000, Collisions: collisions})
+		a := m.Attach(1, geom.Point{}, 50, nil)
+		var ids []packet.NodeID
+		var at []sim.Time
+		stopped := false
+		for i := 0; i < 4; i++ {
+			id := packet.NodeID(2 + i)
+			m.Attach(id, geom.Point{X: float64(1 + i)}, 50, func(*packet.Packet) {
+				ids, at = append(ids, id), append(at, k.Now())
+				if id == 3 && !stopped {
+					stopped = true
+					k.Stop()
+				}
+			})
+		}
+		m.Transmit(a, testPkt(1))
+		k.RunAll()
+		if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+			t.Fatalf("collisions=%v: before the resume, %v handled the frame, want [n2 n3]", collisions, ids)
+		}
+		k.RunAll()
+		if want := []packet.NodeID{2, 3, 4, 5}; !slices.Equal(ids, want) {
+			t.Fatalf("collisions=%v: after the resume, %v handled the frame, want %v", collisions, ids, want)
+		}
+		for _, ti := range at {
+			if ti != at[0] {
+				t.Fatalf("collisions=%v: receptions at %v, want one instant", collisions, at)
+			}
+		}
+		m.Transmit(a, testPkt(1))
+		k.RunAll()
+		if len(ids) != 8 || m.Stats().Deliveries != 8 || m.Stats().Collided != 0 {
+			t.Fatalf("collisions=%v: next frame reached %v (%+v), want every receiver once more",
+				collisions, ids[4:], m.Stats())
+		}
 	}
 }
 

@@ -285,7 +285,7 @@ func (k *Kernel) ScheduleAt(at Time, fn func()) *Timer {
 
 // ScheduleArgAt schedules fn(arg) to run at the absolute virtual time at.
 // This is the allocation-free fast path for high-volume events (one per
-// radio delivery): with fn stored once by the caller and arg a pointer,
+// radio delivery batch): with fn stored once by the caller and arg a pointer,
 // steady-state scheduling allocates nothing — no Timer handle, no closure,
 // and the event struct itself comes from the kernel's free list.
 func (k *Kernel) ScheduleArgAt(at Time, fn func(any), arg any) {
