@@ -6,23 +6,78 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
+// AppendJSON appends ev's JSON object to dst and returns the extended slice.
+// The bytes are exactly those json.Marshal(ev) writes: the fields in
+// declaration order, peer, origin, seq, val and detail left out when zero,
+// the kind as its name, and strings escaped as encoding/json escapes them.
+// FuzzEventJSONMatchesEncodingJSON holds it to that. With room in dst it
+// allocates nothing, which is what keeps a traced run's JSONL sink and
+// wmsnd's trace lines off the heap.
+func (ev Event) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"at":`...)
+	dst = strconv.AppendInt(dst, int64(ev.At), 10)
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, ev.Kind.String())
+	dst = append(dst, `,"node":`...)
+	dst = strconv.AppendUint(dst, uint64(ev.Node), 10)
+	if ev.Peer != 0 {
+		dst = append(dst, `,"peer":`...)
+		dst = strconv.AppendUint(dst, uint64(ev.Peer), 10)
+	}
+	if ev.Origin != 0 {
+		dst = append(dst, `,"origin":`...)
+		dst = strconv.AppendUint(dst, uint64(ev.Origin), 10)
+	}
+	if ev.Seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, uint64(ev.Seq), 10)
+	}
+	if ev.Value != 0 {
+		dst = append(dst, `,"val":`...)
+		dst = strconv.AppendInt(dst, ev.Value, 10)
+	}
+	if ev.Detail != "" {
+		dst = append(dst, `,"detail":`...)
+		dst = appendJSONString(dst, ev.Detail)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString appends s as a JSON string. Every name and detail the
+// simulator emits is printable ASCII that needs no escape, so it is copied
+// as it is; any other string goes through encoding/json, which escapes
+// quotes, backslashes, control bytes, <, > and &, invalid UTF-8 and
+// U+2028/U+2029 its own way.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
 // JSONL streams every observed event to a writer as one JSON object per
-// line — the trace-file format cmd/wmsntrace consumes. Encoding uses a
-// single reused encoder over a buffered writer, so steady-state observation
-// does not allocate per event beyond encoding/json internals. The caller
-// must Flush (or Close the underlying file after Flush) when the run ends.
+// line — the trace-file format cmd/wmsntrace consumes. Each event is
+// encoded by Event.AppendJSON into one reused line buffer and written to a
+// buffered writer, so steady-state observation allocates nothing. The
+// caller must Flush (or Close the underlying file after Flush) when the run
+// ends.
 type JSONL struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+	bw   *bufio.Writer
+	line []byte
+	err  error
 }
 
 // NewJSONL returns a sink streaming events to w.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriter(w)
-	return &JSONL{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONL{bw: bufio.NewWriter(w)}
 }
 
 // Observe implements Sink. The first write error is latched and reported by
@@ -31,7 +86,8 @@ func (j *JSONL) Observe(ev Event) {
 	if j.err != nil {
 		return
 	}
-	j.err = j.enc.Encode(ev)
+	j.line = append(ev.AppendJSON(j.line[:0]), '\n')
+	_, j.err = j.bw.Write(j.line)
 }
 
 // Flush drains the buffer and returns the first error seen, if any.
@@ -46,14 +102,11 @@ func (j *JSONL) Flush() error {
 // batch counterpart of the JSONL sink, used for recorder dumps and captured
 // per-run traces.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	j := NewJSONL(w)
 	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
+		j.Observe(ev)
 	}
-	return bw.Flush()
+	return j.Flush()
 }
 
 // ReadJSONL parses a trace file previously written by the JSONL sink or
