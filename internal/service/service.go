@@ -242,7 +242,7 @@ func (s *Service) runJob(j *Job) {
 			if j.opts.trace {
 				run := i
 				bus.Attach(obs.SinkFunc(func(ev obs.Event) {
-					j.appendTrace(StreamLine{Type: "trace", Run: run, Ev: &ev}, s.cfg.Limits.MaxTraceLines)
+					j.appendTrace(run, ev, s.cfg.Limits.MaxTraceLines)
 				}))
 			}
 			if j.opts.series > 0 {
@@ -483,21 +483,21 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 		flusher.Flush()
 	}
 
+	// Each wake-up sends everything appended since the last one: one Write
+	// of whole lines straight from the job's buffer, and one Flush.
 	done := r.Context().Done()
-	cursor := 0
+	off := 0
 	for {
-		lines, closed, aborted := j.wait(cursor, done)
+		tail, closed, aborted := j.wait(off, done)
 		if aborted {
 			s.streamBroken(j, detach)
 			return
 		}
-		for _, ln := range lines {
-			if _, err := w.Write(append(ln, '\n')); err != nil {
-				s.streamBroken(j, detach)
-				return
-			}
-			cursor++
+		if _, err := w.Write(tail); err != nil {
+			s.streamBroken(j, detach)
+			return
 		}
+		off += len(tail)
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -1,0 +1,121 @@
+package service
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+
+	"wmsn/internal/obs"
+)
+
+// tracedBody is a small two-seed traced job: a few thousand trace lines
+// from runs 0 and 1.
+const tracedBody = `{"run":{"protocol":"spr","num_sensors":25,"run_for_s":30},"seeds":2,"trace":true}`
+
+// TestConcurrentStreamersGetIdenticalBytes streams one traced job to four
+// clients at once, from before it runs to its done line. Every client must
+// receive the same bytes. Run under -race it also checks that streamers
+// share the job's buffer without writing to it: a streamer that appended
+// its newline to a line it shared with the others would race them.
+func TestConcurrentStreamersGetIdenticalBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := submit(t, ts.URL, tracedBody)
+	streams := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if streams[i], err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// A streamer's header line reports the state it found the job in.
+	bodies := make([][]byte, len(streams))
+	for i, s := range streams {
+		_, body, ok := bytes.Cut(s, []byte("\n"))
+		if !ok || !bytes.HasSuffix(body, []byte("\n")) {
+			t.Fatalf("stream %d is not newline-framed: %.200q", i, s)
+		}
+		bodies[i] = body
+	}
+	if n := bytes.Count(bodies[0], []byte(`{"type":"trace"`)); n < 100 {
+		t.Fatalf("stream has %d trace lines, want a traced job's thousands", n)
+	}
+	for i := 1; i < len(bodies); i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("streamers 0 and %d received different bytes (%d and %d)", i, len(bodies[0]), len(bodies[i]))
+		}
+	}
+}
+
+// TestTraceLinesMatchEncodingJSON checks the hand-encoded trace lines of a
+// streamed job against encoding/json: each must be the bytes
+// json.Marshal(StreamLine{Type: "trace", Run: run, Ev: &ev}) writes for its
+// decoded run and event, run 0 included.
+func TestTraceLinesMatchEncodingJSON(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/runs?stream=1", "application/json", strings.NewReader(tracedBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	perRun := map[int]int{}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	for sc.Scan() {
+		var l StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+			t.Fatalf("stream line %q: %v", sc.Text(), err)
+		}
+		if l.Type != "trace" {
+			continue
+		}
+		want, err := json.Marshal(StreamLine{Type: "trace", Run: l.Run, Ev: l.Ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sc.Bytes(), want) {
+			t.Fatalf("trace line\n%s\nencoding/json writes\n%s", sc.Bytes(), want)
+		}
+		perRun[l.Run]++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if perRun[0] == 0 || perRun[1] == 0 || len(perRun) != 2 {
+		t.Fatalf("trace lines per run = %v, want both runs of the job", perRun)
+	}
+}
+
+// TestAppendTraceAllocs pins the traced stream's hot path: appending a trace
+// line to a job allocates nothing beyond the amortized growth of its
+// buffer.
+func TestAppendTraceAllocs(t *testing.T) {
+	j := newJob("job-allocs", jobOptions{}, context.Background())
+	ev := obs.Event{At: 1_234_567, Kind: obs.LinkTx, Node: 3, Peer: 2, Origin: 3, Seq: 17, Value: 8}
+	if n := testing.AllocsPerRun(10_000, func() { j.appendTrace(1, ev, 1<<30) }); n != 0 {
+		t.Fatalf("appendTrace allocates %v times per line, want 0", n)
+	}
+	line := AppendTraceLine(nil, 1, ev)
+	if !bytes.HasPrefix(j.stream, append(line, '\n')) {
+		t.Fatalf("stream starts %.120q, want the line %s", j.stream, line)
+	}
+}
