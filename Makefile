@@ -75,9 +75,12 @@ soak:
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
 # and SecMLR stacks, the incremental spatial grid, which fills every radio
 # receiver list, the connectivity graph against its pairwise-scan oracle,
-# wmsnd's request decoder and validator, and the SecMLR
+# wmsnd's request decoder and validator, the SecMLR
 # crypto primitives against the standard library's (FuzzCryptoMatchesStdlib:
-# HMAC against crypto/hmac, AES-CTR against crypto/cipher). A worker
+# HMAC against crypto/hmac, AES-CTR against crypto/cipher), the trace
+# event encoder against encoding/json (FuzzEventJSONMatchesEncodingJSON),
+# and the two readers of what it writes: JSONL traces (FuzzReadJSONL) and
+# wmsnd streams (FuzzReadStream, wmsntrace -from-stream). A worker
 # reports no execs while it minimizes a new input, for up to 60 s by
 # default, so minimizing is capped at 1 s to leave the 30 s for fuzzing.
 fuzz:
@@ -89,6 +92,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzBuildMatchesBruteForce -fuzztime=30s -fuzzminimizetime=1s ./internal/network/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/
 	$(GO) test -fuzz=FuzzCryptoMatchesStdlib -fuzztime=30s -fuzzminimizetime=1s ./internal/wsncrypto/
+	$(GO) test -fuzz=FuzzEventJSONMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/
+	$(GO) test -fuzz=FuzzReadJSONL -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/
+	$(GO) test -fuzz=FuzzReadStream -fuzztime=30s -fuzzminimizetime=1s ./cmd/wmsntrace/
 
 # Simulation-as-a-service daemon: build the binary, then the endpoint,
 # cancellation and 64-client load tests under the race detector.
