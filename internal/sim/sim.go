@@ -309,37 +309,42 @@ func (k *Kernel) Every(interval Duration, fn func()) *Repeater {
 		panic("sim: non-positive repeat interval")
 	}
 	r := &Repeater{k: k, interval: interval, fn: fn}
+	r.tick = r.fire
 	r.arm()
 	return r
 }
 
-// Repeater re-schedules a callback at a fixed interval.
+// Repeater re-schedules a callback at a fixed interval. Its tick is bound
+// once and its timer is held by value, so re-arming allocates nothing.
 type Repeater struct {
 	k        *Kernel
 	interval Duration
 	fn       func()
-	timer    *Timer
+	tick     func() // r.fire
+	timer    Timer
 	stopped  bool
 }
 
 func (r *Repeater) arm() {
-	r.timer = r.k.After(r.interval, func() {
-		if r.stopped {
-			return
-		}
-		r.fn()
-		if !r.stopped {
-			r.arm()
-		}
-	})
+	ev := r.k.schedule(r.k.now + r.interval)
+	ev.fn = r.tick
+	r.timer = Timer{k: r.k, ev: ev, gen: ev.gen}
+}
+
+func (r *Repeater) fire() {
+	if r.stopped {
+		return
+	}
+	r.fn()
+	if !r.stopped {
+		r.arm()
+	}
 }
 
 // Stop cancels future firings.
 func (r *Repeater) Stop() {
 	r.stopped = true
-	if r.timer != nil {
-		r.timer.Stop()
-	}
+	r.timer.Stop()
 }
 
 // Stop makes Run return after the currently executing event completes.
