@@ -254,7 +254,12 @@ func (s *Service) runJob(j *Job) {
 	}
 
 	// The in-stream heartbeat: wall-clock-paced progress lines, opt-in per
-	// request so the default stream stays deterministic.
+	// request so that the default stream carries no wall-clock lines. Even
+	// so, it is deterministic only run by run: the runs of a multi-run job
+	// go in parallel and append their trace lines as they emit them, so
+	// lines of different runs interleave in wall-clock order. Each run's
+	// own lines keep one order, and result lines come in submission order
+	// (TestTracedStreamOrder).
 	var hbStop, hbDone chan struct{}
 	if j.opts.progress > 0 {
 		hbStop, hbDone = make(chan struct{}), make(chan struct{})

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -117,5 +119,78 @@ func TestAppendTraceAllocs(t *testing.T) {
 	line := AppendTraceLine(nil, 1, ev)
 	if !bytes.HasPrefix(j.stream, append(line, '\n')) {
 		t.Fatalf("stream starts %.120q, want the line %s", j.stream, line)
+	}
+}
+
+// TestTracedStreamOrder pins what a traced job's stream promises when the
+// job has several runs. The runs go in parallel, and each appends its trace
+// lines as its kernel emits them, so lines of different runs interleave in
+// wall-clock order and the stream as a whole may differ from one
+// submission to the next. Each run's own trace lines, though, come in the
+// same order every time, and result lines come in submission order. With
+// "workers":1 the runs go one after another, and the whole stream is the
+// same bytes every time once the job IDs are masked.
+func TestTracedStreamOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	stream := func(body string) []byte {
+		t.Helper()
+		id := submit(t, ts.URL, body)
+		waitState(t, ts.URL, id, StateDone)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.ReplaceAll(b, []byte(id), []byte("JOB"))
+	}
+	// split returns each run's trace lines and the runs of the result lines,
+	// in stream order.
+	split := func(b []byte) (trace map[int][]string, results []int) {
+		t.Helper()
+		trace = map[int][]string{}
+		for _, line := range strings.SplitAfter(string(b), "\n") {
+			if line == "" {
+				continue
+			}
+			var l StreamLine
+			if err := json.Unmarshal([]byte(line), &l); err != nil {
+				t.Fatalf("stream line %q: %v", line, err)
+			}
+			switch l.Type {
+			case "trace":
+				trace[l.Run] = append(trace[l.Run], line)
+			case "result":
+				results = append(results, l.Run)
+			}
+		}
+		return trace, results
+	}
+	const body = `{"run":{"protocol":"spr","num_sensors":25,"run_for_s":20},"seeds":3,"trace":true%s}`
+
+	first, second := stream(fmt.Sprintf(body, "")), stream(fmt.Sprintf(body, ""))
+	traceA, resultsA := split(first)
+	traceB, resultsB := split(second)
+	for _, results := range [][]int{resultsA, resultsB} {
+		if !slices.Equal(results, []int{0, 1, 2}) {
+			t.Fatalf("result lines for runs %v, want 0, 1, 2 in order", results)
+		}
+	}
+	for run := 0; run < 3; run++ {
+		if len(traceA[run]) < 100 {
+			t.Fatalf("run %d has %d trace lines, want a traced run's hundreds", run, len(traceA[run]))
+		}
+		if !slices.Equal(traceA[run], traceB[run]) {
+			t.Fatalf("run %d: the two submissions streamed different trace sequences (%d and %d lines)",
+				run, len(traceA[run]), len(traceB[run]))
+		}
+	}
+
+	one := fmt.Sprintf(body, `,"workers":1`)
+	if a, b := stream(one), stream(one); !bytes.Equal(a, b) {
+		t.Fatalf(`two submissions with "workers":1 streamed different bytes (%d and %d)`, len(a), len(b))
 	}
 }
