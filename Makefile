@@ -75,12 +75,14 @@ soak:
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
 # and SecMLR stacks, the incremental spatial grid, which fills every radio
 # receiver list, the connectivity graph against its pairwise-scan oracle,
-# wmsnd's request decoder and validator, the SecMLR
-# crypto primitives against the standard library's (FuzzCryptoMatchesStdlib:
-# HMAC against crypto/hmac, AES-CTR against crypto/cipher), the trace
-# event encoder against encoding/json (FuzzEventJSONMatchesEncodingJSON),
-# and the two readers of what it writes: JSONL traces (FuzzReadJSONL) and
-# wmsnd streams (FuzzReadStream, wmsntrace -from-stream). A worker
+# placement's one-graph-per-field hop evaluation against the graph with the
+# gateways in it (FuzzFieldMatchesGraph), wmsnd's request decoder and
+# validator, the SecMLR crypto primitives against the standard library's
+# (FuzzCryptoMatchesStdlib: HMAC against crypto/hmac, AES-CTR against
+# crypto/cipher), the trace event encoder against encoding/json
+# (FuzzEventJSONMatchesEncodingJSON), and the two readers of what it
+# writes: JSONL traces (FuzzReadJSONL) and wmsnd streams (FuzzReadStream,
+# wmsntrace -from-stream). A worker
 # reports no execs while it minimizes a new input, for up to 60 s by
 # default, so minimizing is capped at 1 s to leave the 30 s for fuzzing.
 fuzz:
@@ -90,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
 	$(GO) test -fuzz=FuzzBuildMatchesBruteForce -fuzztime=30s -fuzzminimizetime=1s ./internal/network/
+	$(GO) test -fuzz=FuzzFieldMatchesGraph -fuzztime=30s -fuzzminimizetime=1s ./internal/placement/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/
 	$(GO) test -fuzz=FuzzCryptoMatchesStdlib -fuzztime=30s -fuzzminimizetime=1s ./internal/wsncrypto/
 	$(GO) test -fuzz=FuzzEventJSONMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/

@@ -19,8 +19,6 @@ import (
 
 	"wmsn/internal/analytic"
 	"wmsn/internal/geom"
-	"wmsn/internal/network"
-	"wmsn/internal/packet"
 	"wmsn/internal/placement"
 	"wmsn/internal/trace"
 )
@@ -57,14 +55,10 @@ func main() {
 	}
 	sensors := deployer.Deploy(*n, region, rng)
 
-	// Sensor-only connectivity.
-	pos := make(map[packet.NodeID]geom.Point, len(sensors))
-	ranges := make(map[packet.NodeID]float64, len(sensors))
-	for i, p := range sensors {
-		id := packet.NodeID(i + 1)
-		pos[id], ranges[id] = p, *rangeM
-	}
-	g := network.Build(pos, ranges)
+	// Sensor-only connectivity: the one graph every gateway set below is
+	// evaluated on.
+	sensorField := placement.NewField(sensors, *rangeM)
+	g := sensorField.Graph()
 	comps := g.Components()
 	largest := 0
 	for _, c := range comps {
@@ -98,8 +92,7 @@ func main() {
 
 	if *model {
 		am := analytic.Model{N: *n, Side: *side, Range: *rangeM, K: *gateways}
-		gpos := geom.PlaceGrid(*gateways, region)
-		ev := placement.Evaluate(sensors, gpos, *rangeM)
+		ev := sensorField.Evaluate(geom.PlaceGrid(*gateways, region))
 		tbl := trace.NewTable("analytical model (§7.2) vs this deployment",
 			"quantity", "model", "measured")
 		tbl.AddRow("avg degree", am.AvgDegree(), g.AvgDegree())
@@ -125,8 +118,7 @@ func main() {
 		tbl := trace.NewTable(fmt.Sprintf("gateway-count sweep (%s placement)", *strategy),
 			"k", "avg hops", "max hops", "unreachable")
 		for k := 1; k <= *sweep; k++ {
-			gpos := st.Place(sensors, k, region, rng)
-			ev := placement.Evaluate(sensors, gpos, *rangeM)
+			ev := sensorField.Evaluate(st.Place(sensors, k, region, rng))
 			tbl.AddRow(k, ev.AvgHops, ev.MaxHops, ev.Unreachable)
 		}
 		tbl.Render(os.Stdout)
@@ -136,8 +128,7 @@ func main() {
 	tbl := trace.NewTable(fmt.Sprintf("placement comparison, %d gateway(s)", *gateways),
 		"strategy", "avg hops", "max hops", "total hops", "unreachable")
 	for _, name := range []string{"grid", "random", "kmeans", "greedy"} {
-		gpos := strategies[name].Place(sensors, *gateways, region, rng)
-		ev := placement.Evaluate(sensors, gpos, *rangeM)
+		ev := sensorField.Evaluate(strategies[name].Place(sensors, *gateways, region, rng))
 		tbl.AddRow(name, ev.AvgHops, ev.MaxHops, ev.TotalHops, ev.Unreachable)
 	}
 	tbl.Render(os.Stdout)

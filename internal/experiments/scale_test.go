@@ -85,7 +85,7 @@ func TestScale10kRadioSmoke(t *testing.T) {
 	m := radio.New(k, radio.SensorRadio())
 	received := 0
 	for i, p := range sensors {
-		m.Attach(packet.NodeID(i+1), p, 40, func(*packet.Packet) { received++ })
+		m.Attach(packet.NodeID(i+1), p, 40, radio.HandlerFunc(func(*packet.Packet) { received++ }))
 	}
 	for i := range sensors {
 		st := m.Station(packet.NodeID(i + 1))

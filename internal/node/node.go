@@ -272,10 +272,12 @@ func (d *Device) SendMesh(pkt *packet.Packet) bool {
 	return true
 }
 
-// receive handles a sensor-layer delivery: charges reception energy, filters
-// unicast packets addressed elsewhere (unless promiscuous), and hands the
-// packet to the stack.
-func (d *Device) receive(pkt *packet.Packet) {
+// Receive handles a sensor-layer delivery: charges reception energy,
+// filters unicast packets addressed elsewhere (unless promiscuous), and
+// hands the packet to the stack. It makes the device the radio.Receiver of
+// its sensor station, so a reception goes from the station to the device
+// with no closure in between.
+func (d *Device) Receive(pkt *packet.Packet) {
 	w := d.world
 	if !d.alive {
 		return
@@ -303,6 +305,13 @@ func (d *Device) receive(pkt *packet.Packet) {
 		d.stack.HandleMessage(pkt)
 	}
 }
+
+// meshReceiver is a Device seen as the radio.Receiver of its mesh station.
+// A conversion, (*meshReceiver)(d), not a wrapper: it allocates nothing.
+type meshReceiver Device
+
+// Receive implements radio.Receiver.
+func (r *meshReceiver) Receive(pkt *packet.Packet) { (*Device)(r).receiveMesh(pkt) }
 
 // receiveMesh handles a mesh-layer delivery.
 func (d *Device) receiveMesh(pkt *packet.Packet) {
@@ -345,11 +354,11 @@ func (d *Device) Recover() bool {
 	}
 	snap := d.snap
 	if snap.hadSensor {
-		d.sensorSt = w.sensorMedium.Attach(d.id, snap.pos, snap.sensorRange, d.receive)
+		d.sensorSt = w.sensorMedium.Attach(d.id, snap.pos, snap.sensorRange, d)
 		d.sensorSt.SetListening(snap.sensorListening)
 	}
 	if snap.hadMesh {
-		d.meshSt = w.meshMedium.Attach(d.id, snap.pos, snap.meshRange, d.receiveMesh)
+		d.meshSt = w.meshMedium.Attach(d.id, snap.pos, snap.meshRange, (*meshReceiver)(d))
 	}
 	d.alive = true
 	if d.kind == Sensor {
@@ -504,7 +513,7 @@ func (w *World) AddSensor(id packet.NodeID, pos geom.Point, rangeM float64, batt
 		batteryJ = w.cfg.SensorBattery
 	}
 	d := w.newDevice(id, Sensor, *energy.NewBattery(batteryJ), stack)
-	d.sensorSt = w.sensorMedium.Attach(id, pos, rangeM, d.receive)
+	d.sensorSt = w.sensorMedium.Attach(id, pos, rangeM, d)
 	w.register(d)
 	return d
 }
@@ -512,8 +521,8 @@ func (w *World) AddSensor(id packet.NodeID, pos geom.Point, rangeM float64, batt
 // AddGateway creates a WMG attached to both media with unrestricted energy.
 func (w *World) AddGateway(id packet.NodeID, pos geom.Point, sensorRange, meshRange float64, stack Stack) *Device {
 	d := w.newDevice(id, Gateway, *energy.Infinite(), stack)
-	d.sensorSt = w.sensorMedium.Attach(id, pos, sensorRange, d.receive)
-	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
+	d.sensorSt = w.sensorMedium.Attach(id, pos, sensorRange, d)
+	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, (*meshReceiver)(d))
 	w.register(d)
 	return d
 }
@@ -521,7 +530,7 @@ func (w *World) AddGateway(id packet.NodeID, pos geom.Point, sensorRange, meshRa
 // AddMeshRouter creates a WMR attached to the mesh medium only.
 func (w *World) AddMeshRouter(id packet.NodeID, pos geom.Point, meshRange float64) *Device {
 	d := w.newDevice(id, MeshRouter, *energy.Infinite(), nil)
-	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
+	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, (*meshReceiver)(d))
 	w.register(d)
 	return d
 }
@@ -529,7 +538,7 @@ func (w *World) AddMeshRouter(id packet.NodeID, pos geom.Point, meshRange float6
 // AddBaseStation creates a base station on the mesh medium.
 func (w *World) AddBaseStation(id packet.NodeID, pos geom.Point, meshRange float64) *Device {
 	d := w.newDevice(id, BaseStation, *energy.Infinite(), nil)
-	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, d.receiveMesh)
+	d.meshSt = w.meshMedium.Attach(id, pos, meshRange, (*meshReceiver)(d))
 	w.register(d)
 	return d
 }

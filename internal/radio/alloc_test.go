@@ -23,7 +23,7 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 			a := m.Attach(1, geom.Point{}, 50, nil)
 			got := 0
 			for i := 0; i < listeners; i++ {
-				m.Attach(packet.NodeID(2+i), geom.Point{X: float64(1 + i)}, 50, func(*packet.Packet) { got++ })
+				m.Attach(packet.NodeID(2+i), geom.Point{X: float64(1 + i)}, 50, HandlerFunc(func(*packet.Packet) { got++ }))
 			}
 			pkt := testPkt(1)
 			// Warm every pool and backing array.
@@ -55,7 +55,7 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 		var line []*Station
 		for i := 0; i < warm+perCycle*(runs+1); i++ {
 			line = append(line, m.Attach(packet.NodeID(1+i), geom.Point{X: float64(4 * i)}, 20,
-				func(*packet.Packet) { got++ }))
+				HandlerFunc(func(*packet.Packet) { got++ })))
 		}
 		want := 0
 		for _, s := range line {
@@ -88,7 +88,7 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
 	a := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 10}, 50, func(*packet.Packet) {})
+	m.Attach(2, geom.Point{X: 10}, 50, HandlerFunc(func(*packet.Packet) {}))
 	pkt := testPkt(1)
 	for i := 0; i < 64; i++ {
 		m.Transmit(a, pkt)
@@ -111,7 +111,7 @@ func TestDeliveryRecyclingDoesNotAlias(t *testing.T) {
 	m := New(k, Config{BitRate: 250_000})
 	a := m.Attach(1, geom.Point{}, 50, nil)
 	var seqs []uint32
-	m.Attach(2, geom.Point{X: 10}, 50, func(p *packet.Packet) { seqs = append(seqs, p.Seq) })
+	m.Attach(2, geom.Point{X: 10}, 50, HandlerFunc(func(p *packet.Packet) { seqs = append(seqs, p.Seq) }))
 	for i := 0; i < 20; i++ {
 		pkt := testPkt(1)
 		pkt.Seq = uint32(i)
@@ -135,7 +135,7 @@ func BenchmarkTransmitDeliver(b *testing.B) {
 	m := New(k, Config{BitRate: 250_000})
 	a := m.Attach(1, geom.Point{}, 50, nil)
 	for i := 0; i < 8; i++ {
-		m.Attach(packet.NodeID(2+i), geom.Point{X: float64(i + 1)}, 50, func(*packet.Packet) {})
+		m.Attach(packet.NodeID(2+i), geom.Point{X: float64(i + 1)}, 50, HandlerFunc(func(*packet.Packet) {}))
 	}
 	pkt := testPkt(1)
 	b.ReportAllocs()

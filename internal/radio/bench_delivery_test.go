@@ -25,7 +25,7 @@ func BenchmarkDelivery(b *testing.B) {
 			for i := 0; i < n; i++ {
 				m.Attach(packet.NodeID(i+2),
 					geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side},
-					30, func(*packet.Packet) {})
+					30, HandlerFunc(func(*packet.Packet) {}))
 			}
 			s := m.Attach(1, geom.Point{X: side / 2, Y: side / 2}, 30, nil)
 			pkt := testPkt(1)

@@ -1,9 +1,11 @@
 package radio
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wmsn/internal/geom"
 	"wmsn/internal/packet"
@@ -45,7 +47,7 @@ func TestBroadcastReachesOnlyInRange(t *testing.T) {
 	m := New(k, SensorRadio())
 	got := map[packet.NodeID]int{}
 	mk := func(id packet.NodeID, x float64) *Station {
-		return m.Attach(id, geom.Point{X: x, Y: 0}, 30, func(p *packet.Packet) { got[id]++ })
+		return m.Attach(id, geom.Point{X: x, Y: 0}, 30, HandlerFunc(func(p *packet.Packet) { got[id]++ }))
 	}
 	s1 := mk(1, 0)
 	mk(2, 10) // in range
@@ -73,7 +75,7 @@ func TestDeliveryTiming(t *testing.T) {
 	m := New(k, cfg)
 	var at sim.Time = -1
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 10}, 50, func(*packet.Packet) { at = k.Now() })
+	m.Attach(2, geom.Point{X: 10}, 50, HandlerFunc(func(*packet.Packet) { at = k.Now() }))
 	pkt := testPkt(1)
 	want := m.Airtime(pkt.Size()) + cfg.PropDelay
 	m.Transmit(s1, pkt)
@@ -93,7 +95,7 @@ func TestListenersReceiveSentFrame(t *testing.T) {
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
 	for i := 0; i < 3; i++ {
 		m.Attach(packet.NodeID(2+i), geom.Point{X: float64(5 * (i + 1))}, 50,
-			func(p *packet.Packet) { got[p]++ })
+			HandlerFunc(func(p *packet.Packet) { got[p]++ }))
 	}
 	bcast := testPkt(1)
 	bcast.Payload = []byte("abc")
@@ -115,7 +117,7 @@ func TestSleepingStationReceivesNothing(t *testing.T) {
 	m := New(k, SensorRadio())
 	n := 0
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	s2 := m.Attach(2, geom.Point{X: 5}, 50, func(*packet.Packet) { n++ })
+	s2 := m.Attach(2, geom.Point{X: 5}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	s2.SetListening(false)
 	m.Transmit(s1, testPkt(1))
 	k.RunAll()
@@ -135,7 +137,7 @@ func TestDetachStopsDelivery(t *testing.T) {
 	m := New(k, SensorRadio())
 	n := 0
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 5}, 50, func(*packet.Packet) { n++ })
+	m.Attach(2, geom.Point{X: 5}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	m.Transmit(s1, testPkt(1)) // in flight
 	m.Detach(2)
 	k.RunAll()
@@ -166,13 +168,13 @@ func TestStopInsideBatchThenResume(t *testing.T) {
 		stopped := false
 		for i := 0; i < 4; i++ {
 			id := packet.NodeID(2 + i)
-			m.Attach(id, geom.Point{X: float64(1 + i)}, 50, func(*packet.Packet) {
+			m.Attach(id, geom.Point{X: float64(1 + i)}, 50, HandlerFunc(func(*packet.Packet) {
 				ids, at = append(ids, id), append(at, k.Now())
 				if id == 3 && !stopped {
 					stopped = true
 					k.Stop()
 				}
-			})
+			}))
 		}
 		m.Transmit(a, testPkt(1))
 		k.RunAll()
@@ -214,7 +216,7 @@ func TestMoveChangesConnectivity(t *testing.T) {
 	m := New(k, SensorRadio())
 	n := 0
 	s1 := m.Attach(1, geom.Point{}, 30, nil)
-	s2 := m.Attach(2, geom.Point{X: 100}, 30, func(*packet.Packet) { n++ })
+	s2 := m.Attach(2, geom.Point{X: 100}, 30, HandlerFunc(func(*packet.Packet) { n++ }))
 	m.Transmit(s1, testPkt(1))
 	k.RunAll()
 	if n != 0 {
@@ -251,7 +253,7 @@ func TestLossRate(t *testing.T) {
 	m := New(k, Config{BitRate: 250_000, LossRate: 0.3})
 	n := 0
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 5}, 50, func(*packet.Packet) { n++ })
+	m.Attach(2, geom.Point{X: 5}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	const total = 2000
 	for i := 0; i < total; i++ {
 		m.Transmit(s1, testPkt(1))
@@ -272,7 +274,7 @@ func TestCollisionsCorruptOverlapping(t *testing.T) {
 	n := 0
 	a := m.Attach(1, geom.Point{X: -10}, 50, nil)
 	b := m.Attach(2, geom.Point{X: 10}, 50, nil)
-	m.Attach(3, geom.Point{}, 50, func(*packet.Packet) { n++ })
+	m.Attach(3, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	// Two simultaneous transmissions from hidden-ish senders overlap at 3.
 	m.Transmit(a, testPkt(1))
 	m.Transmit(b, testPkt(2))
@@ -296,7 +298,7 @@ func TestNonOverlappingNoCollision(t *testing.T) {
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
 	n := 0
 	a := m.Attach(1, geom.Point{X: -10}, 50, nil)
-	m.Attach(3, geom.Point{}, 50, func(*packet.Packet) { n++ })
+	m.Attach(3, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	m.Transmit(a, testPkt(1))
 	k.RunAll() // first fully delivered
 	m.Transmit(a, testPkt(1))
@@ -314,7 +316,7 @@ func TestUnattachedAndZeroRange(t *testing.T) {
 	m := New(k, SensorRadio())
 	m.Transmit(nil, testPkt(1)) // must not panic
 	s := m.Attach(1, geom.Point{}, 0, nil)
-	m.Attach(2, geom.Point{}, 50, func(*packet.Packet) { t.Fatal("zero-range sender delivered") })
+	m.Attach(2, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { t.Fatal("zero-range sender delivered") }))
 	m.Transmit(s, testPkt(1))
 	k.RunAll()
 	if m.InRange(nil) != nil {
@@ -380,7 +382,7 @@ func BenchmarkTransmit100Neighbors(b *testing.B) {
 	k := sim.NewKernel(1)
 	m := New(k, SensorRadio())
 	for i := 0; i < 100; i++ {
-		m.Attach(packet.NodeID(i+2), geom.Point{X: float64(i % 10), Y: float64(i / 10)}, 30, func(*packet.Packet) {})
+		m.Attach(packet.NodeID(i+2), geom.Point{X: float64(i % 10), Y: float64(i / 10)}, 30, HandlerFunc(func(*packet.Packet) {}))
 	}
 	s := m.Attach(1, geom.Point{X: 5, Y: 5}, 30, nil)
 	pkt := testPkt(1)
@@ -397,7 +399,7 @@ func TestCSMASerializesTransmissions(t *testing.T) {
 	n := 0
 	a := m.Attach(1, geom.Point{X: -10}, 50, nil)
 	b := m.Attach(2, geom.Point{X: 10}, 50, nil)
-	m.Attach(3, geom.Point{}, 50, func(*packet.Packet) { n++ })
+	m.Attach(3, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	// Without CSMA these two would collide at station 3 (see
 	// TestCollisionsCorruptOverlapping); carrier sense defers the second.
 	m.Transmit(a, testPkt(1))
@@ -422,7 +424,7 @@ func TestCSMADropsAfterMaxBackoffs(t *testing.T) {
 	n := 0
 	a := m.Attach(1, geom.Point{X: -10}, 50, nil)
 	b := m.Attach(2, geom.Point{X: 10}, 50, nil)
-	m.Attach(3, geom.Point{}, 50, func(*packet.Packet) { n++ })
+	m.Attach(3, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	// At 1 kbit/s the first packet occupies the channel for ~0.3 s; the
 	// second exhausts its 2 backoffs (max ~2 ms) long before that.
 	m.Transmit(a, testPkt(1))
@@ -445,7 +447,7 @@ func TestCSMAHiddenTerminalStillCollides(t *testing.T) {
 	n := 0
 	a := m.Attach(1, geom.Point{X: -40}, 50, nil)
 	b := m.Attach(2, geom.Point{X: 40}, 50, nil) // 80 m apart: hidden
-	m.Attach(3, geom.Point{}, 50, func(*packet.Packet) { n++ })
+	m.Attach(3, geom.Point{}, 50, HandlerFunc(func(*packet.Packet) { n++ }))
 	m.Transmit(a, testPkt(1))
 	m.Transmit(b, testPkt(2))
 	k.RunAll()
@@ -460,11 +462,78 @@ func TestCSMAHiddenTerminalStillCollides(t *testing.T) {
 func TestNilMetricsSinkIsFine(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, SensorRadio())
-	s1 := m.Attach(1, geom.Point{X: 0, Y: 0}, 30, func(p *packet.Packet) {})
-	m.Attach(2, geom.Point{X: 5, Y: 0}, 30, func(p *packet.Packet) {})
+	s1 := m.Attach(1, geom.Point{X: 0, Y: 0}, 30, HandlerFunc(func(p *packet.Packet) {}))
+	m.Attach(2, geom.Point{X: 5, Y: 0}, 30, HandlerFunc(func(p *packet.Packet) {}))
 	m.Transmit(s1, testPkt(1))
 	k.RunAll()
 	if m.Stats().Deliveries != 1 {
 		t.Fatalf("stats = %+v", m.Stats())
+	}
+}
+
+// TestStationSize pins Station at 128 bytes on 64-bit platforms: scale runs
+// attach 100k stations, and the Receiver interface is one word wider than
+// the function value it replaced, paid for by the two flags packed beside
+// the ID.
+func TestStationSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Station{}); got != 128 {
+		t.Fatalf("Station is %d bytes, want 128", got)
+	}
+}
+
+// TestNilReceiverTransmitsOnly checks that a station attached with a nil
+// Receiver transmits but hears nothing, and that Detach clears a station's
+// receiver.
+func TestNilReceiverTransmitsOnly(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := New(k, SensorRadio())
+	a := m.Attach(1, geom.Point{}, 30, nil)
+	n := 0
+	b := m.Attach(2, geom.Point{X: 5}, 30, HandlerFunc(func(*packet.Packet) { n++ }))
+	m.Transmit(b, testPkt(2))
+	m.Transmit(a, testPkt(1))
+	k.RunAll()
+	if n != 1 || m.Stats().Deliveries != 1 {
+		t.Fatalf("receiver heard %d frames, %d deliveries counted; want 1 and 1", n, m.Stats().Deliveries)
+	}
+	m.Detach(2)
+	if b.rcv != nil {
+		t.Fatal("Detach left the station's receiver set")
+	}
+}
+
+// TestNonFinitePositionPanics checks that a NaN or infinite position panics
+// at Attach and at Station.Move, as a duplicate ID does, and leaves the
+// medium as it was.
+func TestNonFinitePositionPanics(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := New(k, SensorRadio())
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Attach at NaN", func() { m.Attach(1, geom.Point{X: math.NaN()}, 30, nil) })
+	if m.Station(1) != nil {
+		t.Fatal("a failed Attach left its station registered")
+	}
+	a := m.Attach(1, geom.Point{}, 30, nil)
+	n := 0
+	m.Attach(2, geom.Point{X: 5}, 30, HandlerFunc(func(*packet.Packet) { n++ }))
+	mustPanic("Move to +Inf", func() { a.Move(geom.Point{Y: math.Inf(1)}) })
+	if a.Pos() != (geom.Point{}) {
+		t.Fatalf("a failed Move left the station at %v", a.Pos())
+	}
+	m.Transmit(a, testPkt(1))
+	k.RunAll()
+	if n != 1 {
+		t.Fatalf("after a failed Move the neighbor heard %d frames, want 1", n)
 	}
 }
