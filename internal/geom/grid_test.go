@@ -94,11 +94,22 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 		n := rng.Intn(150) // zero-size fields must work too
 		side := 10 + rng.Float64()*500
 		cell := 0.5 + rng.Float64()*80
+		if trial%10 == 9 {
+			// A cell some 4e9 times smaller than the field: its table size
+			// overflows int64 before coarsening.
+			cell = side / 4e9
+		}
 		pts := randPoints(rng, n, side)
 		g := NewStaticGrid(pts, cell)
 		for q := 0; q < 10; q++ {
 			center := Point{X: rng.Float64()*side*1.4 - side*0.2, Y: rng.Float64()*side*1.4 - side*0.2}
 			r := rng.Float64() * side / 2
+			switch q {
+			case 8:
+				r = math.Inf(1)
+			case 9:
+				r = 1e300 // r*r overflows: every point is within
+			}
 			except := int32(-1)
 			if n > 0 && rng.Intn(2) == 0 {
 				except = int32(rng.Intn(n))
