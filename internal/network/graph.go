@@ -56,6 +56,18 @@ func Build(pos map[packet.NodeID]geom.Point, ranges map[packet.NodeID]float64) *
 // filled from its own query, so the lists come out ascending, and the edge
 // test is symmetric in the pair, so they come out symmetric.
 func BuildSorted(ids []packet.NodeID, pts []geom.Point, ranges []float64) *Graph {
+	checkSorted(ids, pts, ranges)
+	g := &Graph{ids: ids, pts: pts, off: make([]int32, len(ids)+1)}
+	if len(ids) < 2 {
+		return g
+	}
+	g.link(newLinker(pts, ranges))
+	return g
+}
+
+// checkSorted panics unless ids, pts and ranges are parallel and the IDs
+// strictly ascending.
+func checkSorted(ids []packet.NodeID, pts []geom.Point, ranges []float64) {
 	if len(pts) != len(ids) || len(ranges) != len(ids) {
 		panic(fmt.Sprintf("network: %d IDs, %d positions, %d ranges", len(ids), len(pts), len(ranges)))
 	}
@@ -64,10 +76,27 @@ func BuildSorted(ids []packet.NodeID, pts []geom.Point, ranges []float64) *Graph
 			panic(fmt.Sprintf("network: IDs not strictly ascending at %v", ids[i]))
 		}
 	}
-	g := &Graph{ids: ids, pts: pts, off: make([]int32, len(ids)+1)}
-	if len(ids) < 2 {
-		return g
+}
+
+// link fills g's adjacency from each vertex's own query.
+func (g *Graph) link(l *linker) {
+	for i := range g.ids {
+		g.nbr = l.appendLinked(g.nbr, g.pts[i], l.ranges[i], int32(i))
+		g.off[i+1] = int32(len(g.nbr))
 	}
+}
+
+// linker holds the edge rule: a vertex pair is linked when their distance
+// is within both their ranges. Candidates come from a grid over the
+// vertices, whose cell is the largest range.
+type linker struct {
+	grid   *geom.StaticGrid
+	pts    []geom.Point
+	ranges []float64
+	buf    []int32 // grid candidates of the current query
+}
+
+func newLinker(pts []geom.Point, ranges []float64) *linker {
 	maxR := 0.0
 	for _, r := range ranges {
 		if r > maxR {
@@ -78,28 +107,86 @@ func BuildSorted(ids []packet.NodeID, pts []geom.Point, ranges []float64) *Graph
 	if !(cell > 0) { // all ranges non-positive: cell size is perf-only
 		cell = 1
 	}
-	grid := geom.NewStaticGrid(pts, cell)
-	// The grid prefilter compares squared distances, which is not exactly
-	// the old Dist ≤ r test when r is itself a rounded sqrt — and
-	// PowerControlK produces ranges sitting exactly on neighbor distances.
-	// Pad the query radius a hair so the candidate set is a strict superset,
-	// then decide membership with the verbatim original predicate.
-	var buf []int32
-	for i := range ids {
-		buf = grid.AppendWithin(buf[:0], pts[i], ranges[i]*(1+1e-12), int32(i))
-		slices.Sort(buf)
-		for _, j := range buf {
-			r := ranges[i]
-			if ranges[j] < r {
-				r = ranges[j]
-			}
-			if pts[i].Dist(pts[j]) <= r {
-				g.nbr = append(g.nbr, j)
-			}
+	return &linker{grid: geom.NewStaticGrid(pts, cell), pts: pts, ranges: ranges}
+}
+
+// appendLinked appends to out, ascending, every vertex j other than except
+// that a point p of range r links to. The grid prefilter compares squared
+// distances, which is not exactly the old Dist ≤ r test when r is itself a
+// rounded sqrt — and PowerControlK produces ranges sitting exactly on
+// neighbor distances. So the query radius is padded a hair, to make the
+// candidate set a strict superset, and membership is decided with the
+// verbatim original predicate. A linker is not safe for concurrent use:
+// the query writes its buf.
+func (l *linker) appendLinked(out []int32, p geom.Point, r float64, except int32) []int32 {
+	l.buf = l.grid.AppendWithin(l.buf[:0], p, r*(1+1e-12), except)
+	slices.Sort(l.buf)
+	for _, j := range l.buf {
+		rj := r
+		if l.ranges[j] < rj {
+			rj = l.ranges[j]
 		}
-		g.off[i+1] = int32(len(g.nbr))
+		if p.Dist(l.pts[j]) <= rj {
+			out = append(out, j)
+		}
 	}
-	return g
+	return out
+}
+
+// UnitDisk is the graph of vertices that share one range, kept together
+// with the grid it was built over, so that outside points at that range
+// (gateways) can be joined to it under the same edge rule without
+// rebuilding it. A UnitDisk is read-only once built: concurrent HopsFrom
+// calls may share it.
+type UnitDisk struct {
+	g      *Graph
+	grid   *geom.StaticGrid
+	ranges []float64 // rangeM for every vertex, as the edge rule reads it
+	rangeM float64
+}
+
+// BuildUnitDisk is BuildSorted with every range rangeM, keeping its grid.
+// It builds the grid for fewer than two vertices too, since HopsFrom
+// queries it.
+func BuildUnitDisk(ids []packet.NodeID, pts []geom.Point, rangeM float64) *UnitDisk {
+	ranges := make([]float64, len(ids))
+	for i := range ranges {
+		ranges[i] = rangeM
+	}
+	checkSorted(ids, pts, ranges)
+	l := newLinker(pts, ranges)
+	g := &Graph{ids: ids, pts: pts, off: make([]int32, len(ids)+1)}
+	g.link(l)
+	return &UnitDisk{g: g, grid: l.grid, ranges: ranges, rangeM: rangeM}
+}
+
+// Graph returns the graph itself. It is shared, not copied, and must not
+// be modified.
+func (u *UnitDisk) Graph() *Graph { return u.g }
+
+// HopsFrom returns every vertex's hop count to the nearest of points, in
+// IDs() order, or -1 for a vertex that reaches none: the counts a BFS
+// gives on the graph with the points added as vertices of range rangeM.
+// A shortest path from the point set passes through no second point,
+// since it could start there instead, so a vertex's count is one more than
+// its BFS distance from the vertices linked to some point, found with the
+// graph's own edge rule. Points need not be distinct from each other or
+// from the vertices.
+func (u *UnitDisk) HopsFrom(points []geom.Point) []int {
+	l := linker{grid: u.grid, pts: u.g.pts, ranges: u.ranges}
+	var srcs []int32
+	for _, p := range points {
+		srcs = l.appendLinked(srcs, p, u.rangeM, -1)
+	}
+	// walk ignores a repeated source, so a vertex next to two points needs
+	// no dedupe here.
+	h := u.g.walk(srcs, nil)
+	for i := range h {
+		if h[i] >= 0 {
+			h[i]++
+		}
+	}
+	return h
 }
 
 // FromWorld builds the sensor-layer connectivity graph of a world,

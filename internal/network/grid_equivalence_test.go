@@ -129,6 +129,52 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestUnitDiskMatchesBruteForce holds BuildUnitDisk's graph to the oracle
+// on fields like TestBuildMatchesBruteForce's, and HopsFrom to
+// MultiSourceHops on the graph with the points added as vertices, some of
+// them on a vertex. placement's Field tests add the degenerate ranges.
+func TestUnitDiskMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 30; trial++ {
+		n := rng.Intn(120)
+		side := 20 + rng.Float64()*400
+		pos := randField(rng, n, side)
+		shared := rng.Float64() * side / 3
+		ranges := make(map[packet.NodeID]float64, n)
+		for id := range pos {
+			ranges[id] = shared
+		}
+		ids := make([]packet.NodeID, 0, n)
+		for id := range pos {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		pts := make([]geom.Point, n)
+		for i, id := range ids {
+			pts[i] = pos[id]
+		}
+		ud := BuildUnitDisk(ids, pts, shared)
+		requireSameGraph(t, trial, ud.Graph(), bruteBuild(pos, ranges))
+
+		// The points' IDs sort after every vertex's (3i+1, see randField).
+		var points []geom.Point
+		var pointIDs []packet.NodeID
+		for k := rng.Intn(6); k > 0; k-- {
+			p := geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+			if n > 0 && rng.Intn(3) == 0 {
+				p = pts[rng.Intn(n)]
+			}
+			id := packet.NodeID(3*n + 1 + len(points))
+			pos[id], ranges[id] = p, shared
+			points, pointIDs = append(points, p), append(pointIDs, id)
+		}
+		want := Build(pos, ranges).MultiSourceHops(pointIDs)[:n]
+		if got := ud.HopsFrom(points); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: HopsFrom(%v) = %v, the graph with the points in it gives %v", trial, points, got, want)
+		}
+	}
+}
+
 func TestBuildMatchesBruteForceHeterogeneousRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
