@@ -73,8 +73,10 @@ soak:
 	$(GO) test -race -v -run 'Soak|InvariantViolation' ./internal/chaos/ -soak.trials=16
 
 # Short fuzzing pass over every wire-format parser, the attached SPR, MLR
-# and SecMLR stacks, the incremental spatial grid, which fills every radio
-# receiver list, the connectivity graph against its pairwise-scan oracle,
+# and SecMLR stacks, the spatial grid against brute force, kept current
+# and rebuilt by IndexPoints (FuzzGridIndexMatchesBruteForce), which fills
+# every radio receiver list and every graph's edge candidates, the
+# connectivity graph against its pairwise-scan oracle,
 # placement's one-graph-per-field hop evaluation against the graph with the
 # gateways in it (FuzzFieldMatchesGraph), wmsnd's request decoder and
 # validator, the SecMLR crypto primitives against the standard library's
@@ -90,7 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseRReqBlocks -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzParseNotifyPayloads -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzStackInput -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
-	$(GO) test -fuzz=FuzzGridIndexMatchesStaticGrid -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
+	$(GO) test -fuzz=FuzzGridIndexMatchesBruteForce -fuzztime=30s -fuzzminimizetime=1s ./internal/geom/
 	$(GO) test -fuzz=FuzzBuildMatchesBruteForce -fuzztime=30s -fuzzminimizetime=1s ./internal/network/
 	$(GO) test -fuzz=FuzzFieldMatchesGraph -fuzztime=30s -fuzzminimizetime=1s ./internal/placement/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=1s ./internal/service/

@@ -12,8 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -23,19 +26,35 @@ import (
 	"wmsn/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its exit status: 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wmsntopo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed     = flag.Int64("seed", 1, "deployment seed")
-		n        = flag.Int("n", 200, "number of sensors")
-		side     = flag.Float64("side", 250, "field side, meters")
-		rangeM   = flag.Float64("range", 40, "radio range, meters")
-		gateways = flag.Int("gateways", 3, "gateways to place")
-		deploy   = flag.String("deploy", "uniform", "uniform|grid|clusters|hotspot")
-		strategy = flag.String("strategy", "grid", "placement: grid|random|kmeans|greedy")
-		sweep    = flag.Int("sweep", 0, "if > 0, sweep gateway counts 1..sweep instead of one placement")
-		model    = flag.Bool("model", false, "print the §7.2 analytical model's predictions next to measurements")
+		seed     = fs.Int64("seed", 1, "deployment seed")
+		n        = fs.Int("n", 200, "number of sensors")
+		side     = fs.Float64("side", 250, "field side, meters")
+		rangeM   = fs.Float64("range", 40, "radio range, meters")
+		gateways = fs.Int("gateways", 3, "gateways to place")
+		deploy   = fs.String("deploy", "uniform", "uniform|grid|clusters|hotspot")
+		strategy = fs.String("strategy", "grid", "placement: grid|random|kmeans|greedy")
+		sweep    = fs.Int("sweep", 0, "if > 0, sweep gateway counts 1..sweep instead of one placement")
+		model    = fs.Bool("model", false, "print the §7.2 analytical model's predictions next to measurements")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// The lengths scenario.Config.Validate accepts: finite, not negative.
+	if !(*side >= 0 && *side <= math.MaxFloat64 && *rangeM >= 0 && *rangeM <= math.MaxFloat64) {
+		fmt.Fprintf(stderr, "-side %g and -range %g must be finite and not negative\n", *side, *rangeM)
+		fs.Usage()
+		return 2
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	region := geom.Square(*side)
@@ -50,8 +69,8 @@ func main() {
 	case "hotspot":
 		deployer = geom.Hotspot{Spot: geom.Rect{X0: 0, Y0: 0, X1: *side / 4, Y1: *side / 4}, Fraction: 0.5}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown deployment %q\n", *deploy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown deployment %q\n", *deploy)
+		return 2
 	}
 	sensors := deployer.Deploy(*n, region, rng)
 
@@ -87,8 +106,8 @@ func main() {
 	field.AddRow("largest component", largest)
 	field.AddRow("avg degree", g.AvgDegree())
 	field.AddRow("degree min/max", fmt.Sprintf("%d / %d", minDeg, maxDeg))
-	field.Render(os.Stdout)
-	fmt.Println()
+	field.Render(stdout)
+	fmt.Fprintln(stdout)
 
 	if *model {
 		am := analytic.Model{N: *n, Side: *side, Range: *rangeM, K: *gateways}
@@ -99,8 +118,8 @@ func main() {
 		tbl.AddRow("connected", am.Connected(), g.Connected())
 		tbl.AddRow("avg hops to nearest gateway", am.AvgHops(), ev.AvgHops)
 		tbl.AddRow("total forwarding load / interval", am.TotalForwardingLoad(), float64(ev.TotalHops))
-		tbl.Render(os.Stdout)
-		fmt.Println()
+		tbl.Render(stdout)
+		fmt.Fprintln(stdout)
 	}
 
 	strategies := map[string]placement.Strategy{
@@ -112,8 +131,8 @@ func main() {
 	if *sweep > 0 {
 		st, ok := strategies[*strategy]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown strategy %q\n", *strategy)
+			return 2
 		}
 		tbl := trace.NewTable(fmt.Sprintf("gateway-count sweep (%s placement)", *strategy),
 			"k", "avg hops", "max hops", "unreachable")
@@ -121,8 +140,8 @@ func main() {
 			ev := sensorField.Evaluate(st.Place(sensors, k, region, rng))
 			tbl.AddRow(k, ev.AvgHops, ev.MaxHops, ev.Unreachable)
 		}
-		tbl.Render(os.Stdout)
-		return
+		tbl.Render(stdout)
+		return 0
 	}
 
 	tbl := trace.NewTable(fmt.Sprintf("placement comparison, %d gateway(s)", *gateways),
@@ -131,5 +150,6 @@ func main() {
 		ev := sensorField.Evaluate(strategies[name].Place(sensors, *gateways, region, rng))
 		tbl.AddRow(name, ev.AvgHops, ev.MaxHops, ev.TotalHops, ev.Unreachable)
 	}
-	tbl.Render(os.Stdout)
+	tbl.Render(stdout)
+	return 0
 }

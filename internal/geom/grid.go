@@ -1,22 +1,22 @@
-// Uniform-grid spatial indexes for unit-disk neighbor queries.
+// Uniform-grid spatial index for unit-disk neighbor queries.
 //
-// Two variants cover the two access patterns in the simulator:
+// GridIndex has two constructors for the simulator's two access patterns:
 //
-//   - GridIndex is incremental: values move, appear and disappear one at a
-//     time (radio stations under mobility, death and recovery). Its cells
-//     are one dense, row-major table over the box its positions have
-//     occupied; the table grows on demand, so the field may be unbounded.
-//   - StaticGrid is a batch index over a fixed point set, laid out with a
-//     counting sort into one flat array (three allocations regardless of
-//     size). Topology construction and power control build one per call.
+//   - NewGridIndex starts empty, and values then move, appear and disappear
+//     one at a time (radio stations under mobility, death and recovery).
+//     The table grows on demand, so the field may be unbounded.
+//   - IndexPoints indexes a fixed point set in one counting sort, the value
+//     of a point being its index (topology construction, power control and
+//     placement build one per field).
 //
-// Both answer "every point within r of center" by scanning the O((r/cell)²)
-// cells overlapping the query disk and filtering on squared distance, so a
-// query costs O(neighborhood) instead of O(n). Both keep their tables at
-// O(n) cells by coarsening the cell when the points are sparse for it. The
-// squared-distance filter `Dist2(p, c) <= r*r` is byte-equivalent to the
-// `Dist(p, c) <= r` the brute-force paths used: for IEEE doubles sqrt is
-// correctly rounded and monotone, so fl(sqrt(x)) <= r exactly when
+// Either way the cells are one dense, row-major table over the box the
+// positions occupy, kept at O(n) cells by coarsening the cell when the
+// points are sparse for it. A query answers "every value within r of
+// center" by scanning the O((r/cell)²) cells overlapping the query disk and
+// filtering on squared distance, so it costs O(neighborhood) instead of
+// O(n). The squared-distance filter `Dist2(p, c) <= r*r` is byte-equivalent
+// to the `Dist(p, c) <= r` the brute-force paths used: for IEEE doubles
+// sqrt is correctly rounded and monotone, so fl(sqrt(x)) <= r exactly when
 // x <= fl(r*r).
 package geom
 
@@ -30,17 +30,18 @@ type gridEntry[T comparable] struct {
 	v   T
 }
 
-// GridIndex is an incremental uniform-grid spatial index over values of
-// type T. The cells form one dense, row-major table over a box that holds
-// every position ever indexed: a position outside the table grows the box,
-// with slack, and re-buckets every entry, so a field swept in order
-// re-buckets O(log) times. The cell edge starts at the one asked for and is
-// doubled while the table would exceed 4n+64 cells, and halved again as n
-// grows, so a few far-flung values cannot blow the table up. Values are
-// bucketed by their position; the bucket order is an implementation detail,
-// so callers needing determinism must sort query results (the radio medium
-// sorts by station ID). Positions must be finite: Insert and Move panic on
-// a NaN or infinite coordinate.
+// GridIndex is a uniform-grid spatial index over values of type T. The
+// cells form one dense, row-major table over a box that holds every
+// position ever indexed (IndexPoints starts from the points' bounding box):
+// a position outside the table grows the box, with slack, and re-buckets
+// every entry, so a field swept in order re-buckets O(log) times. The cell
+// edge starts at the one asked for and is doubled while the table would
+// exceed 4n+64 cells, and halved again as n grows, so a few far-flung
+// values cannot blow the table up. Values are bucketed by their position;
+// the bucket order is an implementation detail, so callers needing
+// determinism must sort query results (the radio medium sorts by station
+// ID). Positions must be finite: Insert, Move and IndexPoints panic on a
+// NaN or infinite coordinate.
 type GridIndex[T comparable] struct {
 	base float64 // the cell edge asked for
 	cell float64 // base·2^k, the edge the table uses
@@ -141,13 +142,11 @@ func (g *GridIndex[T]) tableCells(cell float64) float64 {
 	return (axisCoord(g.maxX, g.minX, cell) + 1) * (axisCoord(g.maxY, g.minY, cell) + 1)
 }
 
-// resize picks the finest cell, from the base edge up by doublings, at
-// which the table over the box holds at most 4n+64 cells, then re-buckets
-// every entry into a new table by counting sort: the cells are slices of
-// one new array, each capped at its length, so a re-bucketing costs three
-// allocations whatever the size. Coarsening never changes a query result:
-// membership is decided by the squared-distance filter alone.
-func (g *GridIndex[T]) resize() {
+// layout gives the index an empty table over its box at the finest cell,
+// from the base edge up by doublings, at which the table holds at most
+// 4n+64 cells. Coarsening never changes a query result: membership is
+// decided by the squared-distance filter alone.
+func (g *GridIndex[T]) layout() {
 	limit := float64(4*g.n + 64)
 	cell := g.base
 	for g.tableCells(cell) > limit {
@@ -163,8 +162,34 @@ func (g *GridIndex[T]) resize() {
 	}
 	g.nx = int(axisCoord(g.maxX, g.minX, cell)) + 1
 	g.ny = int(axisCoord(g.maxY, g.minY, cell)) + 1
-	old := g.cells
 	g.cells = make([][]gridEntry[T], g.nx*g.ny)
+}
+
+// carve is the middle of a counting sort into the table layout made: on
+// entry count[c+1] is the number of entries cell c will hold. It turns
+// count into each cell's start in one new array, which it returns, and
+// makes every occupied cell its span of that array, capped at its length.
+// The caller then puts each entry of cell c at flat[count[c]] and
+// increments count[c], so filling a table costs three allocations (table,
+// count and array) whatever the size.
+func (g *GridIndex[T]) carve(count []int32) []gridEntry[T] {
+	for c := 1; c < len(count); c++ {
+		count[c] += count[c-1]
+	}
+	flat := make([]gridEntry[T], count[len(count)-1])
+	for c := range g.cells {
+		if lo, hi := count[c], count[c+1]; hi > lo {
+			g.cells[c] = flat[lo:hi:hi]
+		}
+	}
+	return flat
+}
+
+// resize lays the table out again for the current box and count, and
+// re-buckets every entry into it.
+func (g *GridIndex[T]) resize() {
+	old := g.cells
+	g.layout()
 	if g.n <= 1 {
 		return // nothing to move: the caller is placing the first value
 	}
@@ -175,10 +200,7 @@ func (g *GridIndex[T]) resize() {
 			count[c+1]++
 		}
 	}
-	for c := 1; c < len(count); c++ {
-		count[c] += count[c-1]
-	}
-	flat := make([]gridEntry[T], count[len(count)-1])
+	flat := g.carve(count)
 	for _, b := range old {
 		for _, e := range b {
 			c, _ := g.cellOf(e.pos)
@@ -186,14 +208,37 @@ func (g *GridIndex[T]) resize() {
 			count[c]++
 		}
 	}
-	// count[c] is now where cell c ends and cell c+1 starts.
-	lo := int32(0)
-	for c := range g.cells {
-		if hi := count[c]; hi > lo {
-			g.cells[c] = flat[lo:hi:hi]
-			lo = hi
-		}
+}
+
+// IndexPoints returns an index over pts in which pts[i] has the value i,
+// with the given cell edge, as a batch: the table is laid out over the
+// points' bounding box and filled straight from pts by one counting sort,
+// four allocations whatever the size. A NaN or infinite point panics. A
+// query does not change the index, so concurrent queries may share it.
+func IndexPoints(pts []Point, cellSize float64) *GridIndex[int32] {
+	g := NewGridIndex[int32](cellSize)
+	if len(pts) == 0 {
+		return g
 	}
+	g.minX, g.maxX, g.minY, g.maxY = pts[0].X, pts[0].X, pts[0].Y, pts[0].Y
+	for _, p := range pts {
+		mustBeFinite(p)
+		g.cover(p, false)
+	}
+	g.n = len(pts)
+	g.layout()
+	count := make([]int32, len(g.cells)+1)
+	for _, p := range pts {
+		c, _ := g.cellOf(p)
+		count[c+1]++
+	}
+	flat := g.carve(count)
+	for i, p := range pts {
+		c, _ := g.cellOf(p)
+		flat[count[c]] = gridEntry[int32]{pos: p, v: int32(i)}
+		count[c]++
+	}
+	return g
 }
 
 // Insert indexes v at p. Inserting the same value twice (even at different
@@ -296,160 +341,6 @@ func (g *GridIndex[T]) AppendWithin(out []T, center Point, r float64, except T) 
 				}
 				if e.pos.Dist2(center) <= r2 {
 					out = append(out, e.v)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// StaticGrid is a batch spatial index over a fixed slice of points,
-// identified by their indices. Construction is O(n) with a constant number
-// of allocations: cells are ranges of one flat permutation array (counting
-// sort), which is what keeps PowerControlK's allocation count independent
-// of field size.
-type StaticGrid struct {
-	cell       float64
-	minX, minY float64
-	nx, ny     int32
-	start      []int32 // cell c covers order[start[c]:start[c+1]]
-	order      []int32 // point indices grouped by cell
-	pts        []Point // caller's backing slice, referenced not copied
-}
-
-// NewStaticGrid indexes pts with the given cell edge. The pts slice is
-// retained and must not be mutated while the grid is in use.
-func NewStaticGrid(pts []Point, cellSize float64) *StaticGrid {
-	if cellSize <= 0 || math.IsNaN(cellSize) {
-		panic("geom: non-positive grid cell size")
-	}
-	g := &StaticGrid{cell: cellSize, pts: pts}
-	if len(pts) == 0 {
-		return g
-	}
-	minX, minY := pts[0].X, pts[0].Y
-	maxX, maxY := minX, minY
-	for _, p := range pts[1:] {
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
-	}
-	g.minX, g.minY = minX, minY
-	// Bound the table to O(n) cells: a tiny cell over a sparse field would
-	// otherwise explode the counting-sort table. Growing the cell never
-	// changes query results, only bucket occupancy. The count is a float:
-	// as int64 it overflowed for a cell some 1e9 times smaller than the
-	// field, and the table came out negative.
-	for {
-		nx := math.Floor((maxX-minX)/cellSize) + 1
-		ny := math.Floor((maxY-minY)/cellSize) + 1
-		if !(nx*ny > float64(4*len(pts)+64)) {
-			break
-		}
-		cellSize *= 2
-	}
-	g.cell = cellSize
-	g.nx = int32((maxX-minX)/cellSize) + 1
-	g.ny = int32((maxY-minY)/cellSize) + 1
-	cells := int(g.nx) * int(g.ny)
-	g.start = make([]int32, cells+1)
-	g.order = make([]int32, len(pts))
-	// Counting sort: histogram, prefix-sum, then scatter.
-	for _, p := range pts {
-		g.start[g.cellOf(p)+1]++
-	}
-	for c := 1; c <= cells; c++ {
-		g.start[c] += g.start[c-1]
-	}
-	cursor := make([]int32, cells)
-	for i, p := range pts {
-		c := g.cellOf(p)
-		g.order[g.start[c]+cursor[c]] = int32(i)
-		cursor[c]++
-	}
-	return g
-}
-
-// cellOf maps an indexed point (guaranteed inside the bounding box) to its
-// flattened cell number.
-func (g *StaticGrid) cellOf(p Point) int32 {
-	cx := int32((p.X - g.minX) / g.cell)
-	cy := int32((p.Y - g.minY) / g.cell)
-	return cy*g.nx + cx
-}
-
-// clampCell maps an arbitrary coordinate to a valid cell coordinate along
-// one axis of extent n. It compares before it converts: converting a
-// coordinate at or past 2^31, such as the window edge of an infinite
-// radius, to int32 is undefined (math.MinInt32 on amd64), and the window
-// came out empty.
-func clampCell(v float64, n int32) int32 {
-	switch {
-	case v < 0:
-		return 0
-	case !(v < float64(n)):
-		return n - 1
-	}
-	return int32(v)
-}
-
-// AppendWithin appends to out the index of every point within r of center,
-// excluding index except (pass a negative value to disable exclusion).
-//
-// Membership is decided solely by the squared-distance filter; the cell
-// window is padded by a sliver of a cell so rounding in the window
-// arithmetic can never exclude a point the filter would accept. This keeps
-// the result set identical to a windowless brute-force scan.
-func (g *StaticGrid) AppendWithin(out []int32, center Point, r float64, except int32) []int32 {
-	if len(g.pts) == 0 || r < 0 || math.IsNaN(r) {
-		return out
-	}
-	r2 := r * r
-	rw := r + g.cell*1e-9
-	x0 := clampCell((center.X-rw-g.minX)/g.cell, g.nx)
-	x1 := clampCell((center.X+rw-g.minX)/g.cell, g.nx)
-	y0 := clampCell((center.Y-rw-g.minY)/g.cell, g.ny)
-	y1 := clampCell((center.Y+rw-g.minY)/g.cell, g.ny)
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * g.nx
-		for cx := x0; cx <= x1; cx++ {
-			c := row + cx
-			for _, i := range g.order[g.start[c]:g.start[c+1]] {
-				if i == except {
-					continue
-				}
-				if g.pts[i].Dist2(center) <= r2 {
-					out = append(out, i)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// AppendDist2Within appends to out the squared distance from center to
-// every point within r, excluding index except. Power control consumes the
-// distances directly (quickselect for the k-th nearest), so returning d²
-// avoids n sqrt calls.
-func (g *StaticGrid) AppendDist2Within(out []float64, center Point, r float64, except int32) []float64 {
-	if len(g.pts) == 0 || r < 0 || math.IsNaN(r) {
-		return out
-	}
-	r2 := r * r
-	rw := r + g.cell*1e-9
-	x0 := clampCell((center.X-rw-g.minX)/g.cell, g.nx)
-	x1 := clampCell((center.X+rw-g.minX)/g.cell, g.nx)
-	y0 := clampCell((center.Y-rw-g.minY)/g.cell, g.ny)
-	y1 := clampCell((center.Y+rw-g.minY)/g.cell, g.ny)
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * g.nx
-		for cx := x0; cx <= x1; cx++ {
-			c := row + cx
-			for _, i := range g.order[g.start[c]:g.start[c+1]] {
-				if i == except {
-					continue
-				}
-				if d2 := g.pts[i].Dist2(center); d2 <= r2 {
-					out = append(out, d2)
 				}
 			}
 		}

@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// The incremental GridIndex (insert/move/remove as devices churn) and the
-// build-once StaticGrid (placement/BFS pipelines) must agree: for any live
-// point set and any range query, both return exactly the points within r —
-// the set a brute-force distance scan returns. The property test drives a
-// randomized mutation sequence and cross-checks all three after every
-// step; the fuzz target packs the same mutation language into a byte
-// string. The language reaches the dense table's growth and coarsening:
+// A GridIndex kept current by Insert, Move and Remove (as devices churn) and
+// one IndexPoints builds over the same live points (as placement and the
+// graph builders do) must agree: for any live point set and any range
+// query, both return exactly the points within r, the set a brute-force
+// distance scan returns. The property test drives a randomized mutation
+// sequence and cross-checks all three after every step; the fuzz target
+// packs the same mutation language into a byte string. The language reaches the dense table's growth and coarsening:
 // inserts and moves far outside the occupied box, at negative and very
 // large coordinates up to ±math.MaxFloat64, removals of values not in the
 // index, and non-finite positions, which must panic and leave the index
@@ -122,25 +122,20 @@ func farPoint(rng *rand.Rand, side float64) Point {
 	return Point{X: coord(), Y: coord()}
 }
 
-// check compares GridIndex and brute force, and a freshly rebuilt
-// StaticGrid while every live point is within ±1e9 of the origin, for a set
-// of probes: random centers over the field, and live points with radii up
-// to their own magnitude, an infinite radius, a NaN one and a negative one.
+// check compares the GridIndex, IndexPoints rebuilt over the live points
+// and brute force, for a set of probes: random centers over the field, and
+// live points with radii up to their own magnitude, an infinite radius, a
+// NaN one and a negative one.
 func (m *gridModel) check(t *testing.T, rng *rand.Rand, side float64) {
 	t.Helper()
 	ids := m.liveIDs()
 	pts := make([]Point, len(ids))
-	moderate := true
 	for i, id := range ids {
 		pts[i] = m.pos[id]
-		moderate = moderate && math.Abs(pts[i].X) <= 1e9 && math.Abs(pts[i].Y) <= 1e9
 	}
-	var static *StaticGrid
-	if len(pts) > 0 && moderate {
-		static = NewStaticGrid(pts, m.idx.CellSize())
-	}
-	if m.idx.Len() != len(ids) {
-		t.Fatalf("GridIndex.Len = %d, model has %d live points", m.idx.Len(), len(ids))
+	batch := IndexPoints(pts, m.idx.CellSize())
+	if m.idx.Len() != len(ids) || batch.Len() != len(ids) {
+		t.Fatalf("Len = %d, IndexPoints' %d; the model has %d live points", m.idx.Len(), batch.Len(), len(ids))
 	}
 	for probe := 0; probe < 8; probe++ {
 		center := Point{X: (rng.Float64()*1.2 - 0.1) * side, Y: (rng.Float64()*1.2 - 0.1) * side}
@@ -173,15 +168,13 @@ func (m *gridModel) check(t *testing.T, rng *rand.Rand, side float64) {
 				t.Fatalf("GridIndex query (%v, r=%g): spurious point %d", center, r, id)
 			}
 		}
-		if static != nil {
-			sg := static.AppendWithin(nil, center, r, -1)
-			if len(sg) != len(want) {
-				t.Fatalf("StaticGrid query (%v, r=%g): got %d points, want %d", center, r, len(sg), len(want))
-			}
-			for _, i := range sg {
-				if !want[ids[i]] {
-					t.Fatalf("StaticGrid query (%v, r=%g): spurious index %d (id %d)", center, r, i, ids[i])
-				}
+		got = batch.AppendWithin(got[:0], center, r, -1)
+		if len(got) != len(want) {
+			t.Fatalf("IndexPoints query (%v, r=%g): got %d points, want %d", center, r, len(got), len(want))
+		}
+		for _, i := range got {
+			if !want[ids[i]] {
+				t.Fatalf("IndexPoints query (%v, r=%g): spurious index %d (id %d)", center, r, i, ids[i])
 			}
 		}
 	}
@@ -222,7 +215,7 @@ func (m *gridModel) step(op byte, rng *rand.Rand, side float64, t *testing.T) {
 	}
 }
 
-func TestGridIndexMatchesStaticGrid(t *testing.T) {
+func TestGridModelMatchesBruteForce(t *testing.T) {
 	const side = 100.0
 	for _, cell := range []float64{3, 25, 250} { // finer, comparable and coarser than the field
 		for seed := int64(0); seed < 4; seed++ {
@@ -271,10 +264,10 @@ func TestGridIndexSweptField(t *testing.T) {
 	}
 }
 
-// FuzzGridIndexMatchesStaticGrid drives the same model from fuzz-chosen
+// FuzzGridIndexMatchesBruteForce drives the same model from fuzz-chosen
 // operation bytes; positions and probes come from a PRNG seeded by the
 // input so every byte string is a reproducible scenario.
-func FuzzGridIndexMatchesStaticGrid(f *testing.F) {
+func FuzzGridIndexMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 2, 2, 2, 2, 3, 3, 3, 3})
 	f.Add([]byte{0, 4, 0, 4, 5, 5, 1, 3, 6, 7, 2, 4, 4, 3, 3, 3})

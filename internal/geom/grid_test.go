@@ -16,7 +16,7 @@ func randPoints(rng *rand.Rand, n int, side float64) []Point {
 	return pts
 }
 
-// bruteWithin is the reference O(n) scan both indexes must match exactly.
+// bruteWithin is the reference O(n) scan the index must match exactly.
 func bruteWithin(pts []Point, center Point, r float64, except int) []int {
 	var out []int
 	for i, p := range pts {
@@ -88,7 +88,11 @@ func TestGridIndexRemoveUnknown(t *testing.T) {
 	}
 }
 
-func TestStaticGridMatchesBruteForce(t *testing.T) {
+// TestIndexPointsMatchesBruteForce holds IndexPoints' queries to the
+// brute-force scan on fields of up to 150 points, empty ones included, with
+// cells finer and coarser than the queries, a cell some 4e9 times smaller
+// than the field, and infinite and overflowing radii.
+func TestIndexPointsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		n := rng.Intn(150) // zero-size fields must work too
@@ -100,7 +104,10 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 			cell = side / 4e9
 		}
 		pts := randPoints(rng, n, side)
-		g := NewStaticGrid(pts, cell)
+		g := IndexPoints(pts, cell)
+		if g.Len() != n {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, g.Len(), n)
+		}
 		for q := 0; q < 10; q++ {
 			center := Point{X: rng.Float64()*side*1.4 - side*0.2, Y: rng.Float64()*side*1.4 - side*0.2}
 			r := rng.Float64() * side / 2
@@ -114,71 +121,51 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 			if n > 0 && rng.Intn(2) == 0 {
 				except = int32(rng.Intn(n))
 			}
-			raw := g.AppendWithin(nil, center, r, except)
-			got := make([]int, len(raw))
-			for i, v := range raw {
-				got[i] = int(v)
-			}
-			sort.Ints(got)
-			want := bruteWithin(pts, center, r, int(except))
-			if fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := indexQuery(g, center, r, except), bruteWithin(pts, center, r, int(except)); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("trial %d query %d: grid %v != brute %v", trial, q, got, want)
-			}
-			// Distances must agree with the membership set as a multiset.
-			d2 := g.AppendDist2Within(nil, center, r, except)
-			if len(d2) != len(want) {
-				t.Fatalf("trial %d query %d: %d distances for %d members", trial, q, len(d2), len(want))
-			}
-			sort.Float64s(d2)
-			wd := make([]float64, 0, len(want))
-			for _, i := range want {
-				wd = append(wd, pts[i].Dist2(center))
-			}
-			sort.Float64s(wd)
-			for i := range d2 {
-				if d2[i] != wd[i] {
-					t.Fatalf("trial %d query %d: distance %v != %v", trial, q, d2[i], wd[i])
-				}
 			}
 		}
 	}
 }
 
+// indexQuery returns the values within r of center, ascending, as ints.
+func indexQuery(g *GridIndex[int32], center Point, r float64, except int32) []int {
+	var got []int
+	for _, v := range g.AppendWithin(nil, center, r, except) {
+		got = append(got, int(v))
+	}
+	sort.Ints(got)
+	return got
+}
+
 // Points exactly on cell boundaries and queries whose windows land on
 // boundaries are the rounding-sensitive cases; exercise them explicitly.
-func TestStaticGridBoundaryExact(t *testing.T) {
+func TestIndexPointsBoundaryExact(t *testing.T) {
 	var pts []Point
 	for x := 0; x <= 100; x += 10 {
 		for y := 0; y <= 100; y += 10 {
 			pts = append(pts, Point{X: float64(x), Y: float64(y)})
 		}
 	}
-	g := NewStaticGrid(pts, 10)
+	g := IndexPoints(pts, 10)
 	for _, r := range []float64{0, 10, 20, 30.000000000000004, 50} {
 		for _, c := range []Point{{X: 50, Y: 50}, {X: 0, Y: 0}, {X: 100, Y: 100}, {X: 45, Y: 55}} {
-			raw := g.AppendWithin(nil, c, r, -1)
-			got := make([]int, len(raw))
-			for i, v := range raw {
-				got[i] = int(v)
-			}
-			sort.Ints(got)
-			want := bruteWithin(pts, c, r, -1)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := indexQuery(g, c, r, -1), bruteWithin(pts, c, r, -1); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("r=%v center=%v: grid %d members != brute %d", r, c, len(got), len(want))
 			}
 		}
 	}
 }
 
-func TestStaticGridAllocsConstant(t *testing.T) {
+func TestIndexPointsAllocsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	measure := func(n int) float64 {
 		pts := randPoints(rng, n, 300)
-		return testing.AllocsPerRun(10, func() { NewStaticGrid(pts, 40) })
+		return testing.AllocsPerRun(10, func() { IndexPoints(pts, 40) })
 	}
-	small, large := measure(50), measure(2000)
-	if large > small {
-		t.Fatalf("StaticGrid construction allocations grow with n: %0.f -> %0.f", small, large)
+	// The index, its table, the counts and the entries.
+	if small, large := measure(50), measure(2000); small != 4 || large != 4 {
+		t.Fatalf("IndexPoints makes %0.f allocations for 50 points and %0.f for 2,000, want 4", small, large)
 	}
 }
 

@@ -45,9 +45,6 @@ func (h HistID) Name() string {
 	return "unknown"
 }
 
-// NumHists reports how many histogram IDs exist; IDs are 0..NumHists()-1.
-func NumHists() int { return int(numHists) }
-
 // Log-linear bucket layout: 8 sub-buckets per octave. Values below 8 get
 // their own exact bucket (index == value); a value v >= 8 lands in
 // index e*8 + m where e = bits.Len64(v)-4 and m = v>>e (m in [8,16)), so the

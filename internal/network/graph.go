@@ -90,7 +90,7 @@ func (g *Graph) link(l *linker) {
 // is within both their ranges. Candidates come from a grid over the
 // vertices, whose cell is the largest range.
 type linker struct {
-	grid   *geom.StaticGrid
+	grid   *geom.GridIndex[int32] // vertex i has value i
 	pts    []geom.Point
 	ranges []float64
 	buf    []int32 // grid candidates of the current query
@@ -107,7 +107,7 @@ func newLinker(pts []geom.Point, ranges []float64) *linker {
 	if !(cell > 0) { // all ranges non-positive: cell size is perf-only
 		cell = 1
 	}
-	return &linker{grid: geom.NewStaticGrid(pts, cell), pts: pts, ranges: ranges}
+	return &linker{grid: geom.IndexPoints(pts, cell), pts: pts, ranges: ranges}
 }
 
 // appendLinked appends to out, ascending, every vertex j other than except
@@ -140,7 +140,7 @@ func (l *linker) appendLinked(out []int32, p geom.Point, r float64, except int32
 // calls may share it.
 type UnitDisk struct {
 	g      *Graph
-	grid   *geom.StaticGrid
+	grid   *geom.GridIndex[int32]
 	ranges []float64 // rangeM for every vertex, as the edge rule reads it
 	rangeM float64
 }
@@ -414,26 +414,6 @@ func (g *Graph) Components() [][]packet.NodeID {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// AvgHopsToNearest returns the average over srcs of the hop distance to the
-// nearest of dsts, counting only reachable sources, plus the count of
-// unreachable sources. This is the paper's Fig. 2 / E1 metric.
-func (g *Graph) AvgHopsToNearest(srcs, dsts []packet.NodeID) (avg float64, unreachable int) {
-	total, n := 0, 0
-	for _, s := range srcs {
-		_, h := g.NearestOf(s, dsts)
-		if h == Unreachable {
-			unreachable++
-			continue
-		}
-		total += h
-		n++
-	}
-	if n == 0 {
-		return 0, unreachable
-	}
-	return float64(total) / float64(n), unreachable
 }
 
 // VerifySubpathOptimality checks Property 1 of §5.2 on the shortest path

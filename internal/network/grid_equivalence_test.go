@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -114,6 +115,31 @@ func randField(rng *rand.Rand, n int, side float64) map[packet.NodeID]geom.Point
 	return pos
 }
 
+// farField is randField with points far out too: (-bound, 0), the origin
+// and (bound, 0), whose extent overflows, then about a third of the other
+// points stacked on (-bound, 0) or (bound, 0) and a sixth anywhere in
+// [-bound, bound]². At such coordinates two distinct far points' distance
+// overflows, so a far point links only to points stacked on it.
+func farField(rng *rand.Rand, n int, side, bound float64) map[packet.NodeID]geom.Point {
+	pos := randField(rng, n, side)
+	for i := 0; i < n; i++ {
+		id := packet.NodeID(i*3 + 1)
+		switch {
+		case i < 3:
+			pos[id] = geom.Point{X: float64(i-1) * bound}
+		case rng.Intn(3) == 0:
+			pos[id] = geom.Point{X: bound * float64(1-2*rng.Intn(2))}
+		case rng.Intn(4) == 0:
+			pos[id] = geom.Point{X: (2*rng.Float64() - 1) * bound, Y: (2*rng.Float64() - 1) * bound}
+		}
+	}
+	return pos
+}
+
+// farBounds are the coordinates farField reaches in the last trials of the
+// oracle tests: ±1e308 and ±math.MaxFloat64.
+var farBounds = []float64{1e308, math.MaxFloat64}
+
 func TestBuildMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
@@ -130,15 +156,22 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 }
 
 // TestUnitDiskMatchesBruteForce holds BuildUnitDisk's graph to the oracle
-// on fields like TestBuildMatchesBruteForce's, and HopsFrom to
-// MultiSourceHops on the graph with the points added as vertices, some of
-// them on a vertex. placement's Field tests add the degenerate ranges.
+// on fields like TestBuildMatchesBruteForce's, the last two reaching
+// ±1e308 and ±math.MaxFloat64, and HopsFrom to MultiSourceHops on the
+// graph with the points added as vertices, some of them on a vertex.
+// placement's Field tests add the degenerate ranges.
 func TestUnitDiskMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 30+len(farBounds); trial++ {
 		n := rng.Intn(120)
 		side := 20 + rng.Float64()*400
-		pos := randField(rng, n, side)
+		var pos map[packet.NodeID]geom.Point
+		if trial < 30 {
+			pos = randField(rng, n, side)
+		} else {
+			n += 3
+			pos = farField(rng, n, side, farBounds[trial-30])
+		}
 		shared := rng.Float64() * side / 3
 		ranges := make(map[packet.NodeID]float64, n)
 		for id := range pos {
@@ -200,33 +233,45 @@ func TestBuildMatchesBruteForceHeterogeneousRanges(t *testing.T) {
 }
 
 // FuzzBuildMatchesBruteForce compares Build with the pairwise-scan oracle
-// on fuzzed fields. The first byte picks a length scale of k/7 m, k in
-// 1..256, so distances round as field coordinates do. Each further three
-// bytes are a point: x and y on that scale's lattice, where equal bytes
-// make coincident points, and a range byte r. An r of 0 leaves the point
-// out of the ranges map (range 0); other multiples of 4 give range 0; r%4
-// == 1 gives the exact distance to point r/4 mod n, the boundary ranges
-// PowerControlK produces; otherwise the range is r on the scale. Every
-// range is finite and non-negative, as every caller's is.
+// on fuzzed fields. The first byte b picks a length scale: k/7 m for b <
+// 128, k = b+1, so distances round as field coordinates do, and
+// math.MaxFloat64/128 / 256^(255-b) for b >= 128, which reaches fields
+// whose extent and distances overflow (b = 255 puts coordinate -128 at
+// -math.MaxFloat64). Each further three bytes are a point: x and y as
+// signed bytes on that scale's lattice, where equal bytes make coincident
+// points, and a range byte r. An r of 0 leaves the point out of the ranges
+// map (range 0); other multiples of 4 give range 0; r%4 == 1 gives the
+// exact distance to point r/4 mod n, the boundary ranges PowerControlK
+// produces; otherwise the range is r on the scale. A range that overflows
+// is math.MaxFloat64, so every range is finite and non-negative, as every
+// caller's is.
 func FuzzBuildMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 10, 10, 40})
 	f.Add([]byte{6, 10, 10, 0, 10, 10, 4, 10, 10, 8})                 // coincident, zero ranges
 	f.Add([]byte{6, 0, 0, 5, 3, 4, 1, 3, 0, 9, 0, 4, 2, 50, 50, 255}) // exact-distance ranges
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
+	// Points at about -1e308, 0 and 1e308 (±71 on the largest scale): the
+	// field's extent overflows.
+	f.Add([]byte{255, 256 - 71, 0, 255, 0, 0, 255, 71, 0, 255})
+	// Corners at ±math.MaxFloat64 and next to them, with boundary ranges.
+	f.Add([]byte{255, 128, 128, 5, 127, 127, 1, 128, 127, 6, 127, 128, 9, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			requireSameGraph(t, 0, Build(nil, nil), bruteBuild(nil, nil))
 			return
 		}
 		scale := float64(1+int(data[0])) / 7
+		if data[0] >= 128 {
+			scale = math.Ldexp(math.MaxFloat64/128, -8*(255-int(data[0])))
+		}
 		pts := data[1:]
 		n := min(len(pts)/3, 200)
 		ids := make([]packet.NodeID, n)
 		pos := make(map[packet.NodeID]geom.Point, n)
 		for i := range ids {
 			ids[i] = packet.NodeID(i*3 + 1) // non-contiguous, as randField's
-			pos[ids[i]] = geom.Point{X: float64(pts[3*i]) * scale, Y: float64(pts[3*i+1]) * scale}
+			pos[ids[i]] = geom.Point{X: float64(int8(pts[3*i])) * scale, Y: float64(int8(pts[3*i+1])) * scale}
 		}
 		ranges := make(map[packet.NodeID]float64, n)
 		for i, id := range ids {
@@ -235,9 +280,9 @@ func FuzzBuildMatchesBruteForce(f *testing.F) {
 			case r%4 == 0:
 				ranges[id] = 0
 			case r%4 == 1:
-				ranges[id] = pos[id].Dist(pos[ids[int(r/4)%n]])
+				ranges[id] = min(pos[id].Dist(pos[ids[int(r/4)%n]]), math.MaxFloat64)
 			default:
-				ranges[id] = float64(r) * scale
+				ranges[id] = min(float64(r)*scale, math.MaxFloat64)
 			}
 		}
 		requireSameGraph(t, 0, Build(pos, ranges), bruteBuild(pos, ranges))
@@ -265,13 +310,24 @@ func TestBuildAfterPowerControlMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPowerControlKMatchesBruteForceEdgeCases holds PowerControlK to the
+// oracle on small fields, the last ones reaching ±1e308 and
+// ±math.MaxFloat64, where a maximum range of math.MaxFloat64 pads to an
+// infinite query.
 func TestPowerControlKMatchesBruteForceEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
+	maxRanges := []float64{0, 5, 30, 1e9, math.MaxFloat64}
+	for trial := 0; trial < 40+4*len(farBounds); trial++ {
 		n := rng.Intn(40) // includes 0 and 1 node fields
-		pos := randField(rng, n, 100)
+		var pos map[packet.NodeID]geom.Point
+		if trial < 40 {
+			pos = randField(rng, n, 100)
+		} else {
+			n += 3
+			pos = farField(rng, n, 100, farBounds[(trial-40)%len(farBounds)])
+		}
 		k := rng.Intn(int(float64(n)*1.5)+2) - 1 // k < 0, k == 0, k > n all occur
-		maxRange := []float64{0, 5, 30, 1e9}[rng.Intn(4)]
+		maxRange := maxRanges[rng.Intn(len(maxRanges))]
 		got := PowerControlK(pos, k, maxRange)
 		want := brutePowerControlK(pos, k, maxRange)
 		if !reflect.DeepEqual(got, want) {

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math"
 	"sort"
 
 	"wmsn/internal/geom"
@@ -55,29 +54,29 @@ func PowerControlK(pos map[packet.NodeID]geom.Point, k int, maxRange float64) ma
 	if !(cell > 0) { // non-positive or NaN: cell size is perf-only, pick any
 		cell = 1
 	}
-	grid := geom.NewStaticGrid(pts, cell)
-	// One scratch buffer reused across the per-node loop: capacity n-1 covers
-	// the worst case (every other node within maxRange). The grid prefilter
-	// compares squared distances, so the query radius is padded a hair to
-	// guarantee a superset; the exact per-candidate Dist < maxRange test
-	// below reproduces the original arithmetic bit-for-bit.
-	scratch := make([]float64, 0, len(ids))
+	grid := geom.IndexPoints(pts, cell)
+	// Two scratch buffers reused across the per-node loop: capacity n-1
+	// covers the worst case (every other node within maxRange). The grid
+	// prefilter compares squared distances, so the query radius is padded a
+	// hair to guarantee a superset; the exact per-candidate Dist < maxRange
+	// test below reproduces the original arithmetic bit-for-bit.
+	cand := make([]int32, 0, len(ids))
+	dist := make([]float64, 0, len(ids))
 	mq := maxRange * (1 + 1e-12)
 	for i, id := range ids {
-		scratch = grid.AppendDist2Within(scratch[:0], pts[i], mq, int32(i))
-		m := 0
-		for _, v := range scratch {
-			if d := math.Sqrt(v); d < maxRange {
-				scratch[m] = d
-				m++
+		cand = grid.AppendWithin(cand[:0], pts[i], mq, int32(i))
+		dist = dist[:0]
+		for _, j := range cand {
+			if d := pts[i].Dist(pts[j]); d < maxRange {
+				dist = append(dist, d)
 			}
 		}
-		if m < need {
+		if len(dist) < need {
 			// The k-th nearest neighbor lies at or beyond maxRange.
 			out[id] = maxRange
 			continue
 		}
-		out[id] = kthSmallest(scratch[:m], need)
+		out[id] = kthSmallest(dist, need)
 	}
 	return out
 }

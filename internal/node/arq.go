@@ -141,9 +141,6 @@ func (d *Device) EnableLinkARQ(cfg ARQConfig) {
 	d.arq = a
 }
 
-// LinkARQEnabled reports whether hop-by-hop ARQ is armed on this device.
-func (d *Device) LinkARQEnabled() bool { return d.arq != nil }
-
 // LinkQueueLen returns the current forwarding-queue occupancy (0 when ARQ
 // is disabled). The queued frames are exactly the "in flight" term of the
 // metrics.CheckLinkConservation ledger.

@@ -8,7 +8,6 @@ package placement
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"wmsn/internal/geom"
 	"wmsn/internal/network"
@@ -248,50 +247,6 @@ func Kmax(values []float64, epsilon float64) int {
 		}
 	}
 	return len(values)
-}
-
-// SelectPlaces reduces a candidate place set to the k most load-balanced for
-// MLR scheduling: places are ranked by their average distance to the sensor
-// centroid-quantile bands so that scheduled rotations visit dispersed spots.
-// It returns indices into candidates, sorted ascending.
-func SelectPlaces(candidates []geom.Point, sensors []geom.Point, k int) []int {
-	if k >= len(candidates) {
-		out := make([]int, len(candidates))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	// Greedy farthest-point dispersion seeded at the sensor centroid's
-	// nearest candidate.
-	ctr := geom.Centroid(sensors)
-	first, firstD := 0, math.Inf(1)
-	for i, c := range candidates {
-		if d := c.Dist2(ctr); d < firstD {
-			first, firstD = i, d
-		}
-	}
-	chosen := []int{first}
-	inSet := map[int]bool{first: true}
-	for len(chosen) < k {
-		best, bestD := -1, -1.0
-		for i, c := range candidates {
-			if inSet[i] {
-				continue
-			}
-			d := math.Inf(1)
-			for _, j := range chosen {
-				d = math.Min(d, c.Dist2(candidates[j]))
-			}
-			if d > bestD {
-				best, bestD = i, d
-			}
-		}
-		chosen = append(chosen, best)
-		inSet[best] = true
-	}
-	sort.Ints(chosen)
-	return chosen
 }
 
 // SlidingSchedule is the naive alternative to RotationSchedule: each round

@@ -159,37 +159,6 @@ func TestKmaxSaturation(t *testing.T) {
 	}
 }
 
-func TestSelectPlacesDispersed(t *testing.T) {
-	cands := geom.PlaceGrid(16, geom.Square(100))
-	sensors, _, _ := uniformField(50, 100, 4)
-	idx := SelectPlaces(cands, sensors, 4)
-	if len(idx) != 4 {
-		t.Fatalf("selected %d", len(idx))
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatal("indices not sorted/unique")
-		}
-	}
-	// Dispersion: min pairwise distance among selected should beat a
-	// clumped pick (same quadrant lattice step is 25; expect >= 50).
-	minD := 1e9
-	for i := 0; i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			if d := cands[idx[i]].Dist(cands[idx[j]]); d < minD {
-				minD = d
-			}
-		}
-	}
-	if minD < 40 {
-		t.Fatalf("selected places clumped: min pairwise %v", minD)
-	}
-	// k >= candidates returns all.
-	if got := SelectPlaces(cands, sensors, 99); len(got) != 16 {
-		t.Fatalf("all-candidates case: %d", len(got))
-	}
-}
-
 func TestRotationSchedule(t *testing.T) {
 	sched := RotationSchedule(5, 3, 5)
 	if len(sched) != 5 {

@@ -21,12 +21,18 @@ func TestValidateRejectsMisconfigurations(t *testing.T) {
 		{"negative sensors", Config{NumSensors: -5}, "NumSensors"},
 		{"negative gateways", Config{NumGateways: -1}, "NumGateways"},
 		{"negative side", Config{Side: -100}, "Side"},
+		{"side NaN", Config{Side: math.NaN()}, "Side"},
+		{"side infinite", Config{Side: math.Inf(1)}, "Side"},
 		{"negative range", Config{SensorRange: -35}, "SensorRange"},
+		{"range NaN", Config{SensorRange: math.NaN()}, "SensorRange"},
+		{"range infinite", Config{SensorRange: math.Inf(1)}, "SensorRange"},
 		{"negative interval", Config{ReportInterval: -sim.Second}, "ReportInterval"},
 		{"negative battery", Config{SensorBattery: -2}, "SensorBattery"},
+		{"battery NaN", Config{SensorBattery: math.NaN()}, "SensorBattery"},
 		{"loss rate one", Config{LossRate: 1.0}, "LossRate"},
 		{"loss rate NaN", Config{LossRate: math.NaN()}, "LossRate"},
 		{"leach prob high", Config{LEACHProb: 1.5}, "LEACHProb"},
+		{"leach prob NaN", Config{LEACHProb: math.NaN()}, "LEACHProb"},
 		{"schedule row width", Config{NumGateways: 3, Schedule: [][]int{{0, 1}}}, "Schedule row 0"},
 		{"schedule place range", Config{Protocol: SPR, NumGateways: 2, Schedule: [][]int{{0, 9}}}, "out of range"},
 		{"fault past horizon", Config{RunFor: 10 * sim.Second,

@@ -212,11 +212,11 @@ func (cfg Config) Validate() error {
 	if c.NumGateways < 0 {
 		fail("NumGateways %d is negative — need at least one gateway or sink", c.NumGateways)
 	}
-	if c.Side < 0 {
-		fail("Side %g is negative — the region is a Side x Side square", c.Side)
+	if !isLength(c.Side) {
+		fail("Side %g is negative or not finite — the region is a Side x Side square", c.Side)
 	}
-	if c.SensorRange < 0 {
-		fail("SensorRange %g is negative — radio range must be positive metres", c.SensorRange)
+	if !isLength(c.SensorRange) {
+		fail("SensorRange %g is negative or not finite — radio range must be positive metres", c.SensorRange)
 	}
 	if c.ReportInterval < 0 {
 		fail("ReportInterval %v is negative", c.ReportInterval)
@@ -233,13 +233,13 @@ func (cfg Config) Validate() error {
 	if c.PayloadSize < 0 {
 		fail("PayloadSize %d is negative", c.PayloadSize)
 	}
-	if c.SensorBattery < 0 {
-		fail("SensorBattery %g J is negative", c.SensorBattery)
+	if !(c.SensorBattery >= 0) {
+		fail("SensorBattery %g J is negative or NaN", c.SensorBattery)
 	}
 	if c.LossRate < 0 || c.LossRate >= 1 || math.IsNaN(c.LossRate) {
 		fail("LossRate %v outside [0,1) — 1 would lose every frame", c.LossRate)
 	}
-	if c.LEACHProb <= 0 || c.LEACHProb > 1 {
+	if !(c.LEACHProb > 0 && c.LEACHProb <= 1) {
 		fail("LEACHProb %v outside (0,1] — it is a cluster-head election probability", c.LEACHProb)
 	}
 	numPlaces := len(c.Places)
@@ -276,6 +276,10 @@ func (cfg Config) Validate() error {
 	}
 	return errors.Join(errs...)
 }
+
+// isLength reports whether v is a finite, non-negative length: NaN and
+// ±Inf pass a plain v < 0 check.
+func isLength(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // Net is a built, running experiment network.
 type Net struct {
